@@ -78,6 +78,12 @@ def _signed_descending(values: Sequence[int]) -> list[int]:
     return w
 
 
+def _sorted_rows(rows: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Rows of an (n, 4) int64 array as tuples, in lexicographic order."""
+    order = np.lexsort(rows.T[::-1])
+    return list(map(tuple, rows[order].tolist()))
+
+
 def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     w = _signed_descending(values)
     m = len(w)
@@ -137,8 +143,7 @@ def _zero_quads_numpy(w_arr: np.ndarray) -> list[tuple[int, int, int, int]]:
         & (w[j] + w[k] != 0)
         & (w[j] + w[l] != 0)
     )
-    quads = np.stack([w[i], w[j], w[k], w[l]], axis=1)[keep]
-    return sorted(map(tuple, quads.tolist()))
+    return _sorted_rows(np.stack([w[i], w[j], w[k], w[l]], axis=1)[keep])
 
 
 if HAVE_NUMBA:
@@ -223,8 +228,7 @@ def zero_quadruples(
     if backend != "python" and max(vs) <= INT64_VALUE_LIMIT:
         w = np.array(_signed_descending(vs), dtype=np.int64)
         if backend == "numba":
-            rows = _zero_quads_kernel(w)
-            return sorted(map(tuple, rows.tolist()))
+            return _sorted_rows(_zero_quads_kernel(w))
         return _zero_quads_numpy(w)
     # Unbounded-integer path: chosen explicitly or forced by int64 overflow risk.
     return _zero_quads_python(vs)

@@ -199,13 +199,17 @@ def find_relations(
     if len(s) == 0:
         raise ValueError("relation search needs a nonempty inversion set")
     table = term_table(s, cfg.bound, ceiling=ceiling)
-    out = []
-    for quad in zero_quadruples(table.keys()):
-        terms = tuple(
-            UnitTerm(1 if v > 0 else -1, table[abs(v)]) for v in quad
-        )
-        out.append(Relation(s, terms, quad))
-    return out
+    rows = zero_quadruples(table.keys())
+    # One shared (frozen) UnitTerm per signed value that occurs in a row, not
+    # four new ones per row.
+    terms = {
+        v: UnitTerm(1 if v > 0 else -1, table[abs(v)])
+        for v in {v for row in rows for v in row}
+    }
+    return [
+        Relation(s, (terms[a], terms[b], terms[c], terms[d]), (a, b, c, d))
+        for a, b, c, d in rows
+    ]
 
 
 def admits_4cycle(

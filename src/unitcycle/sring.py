@@ -73,13 +73,20 @@ class UnitTerm:
 
 
 def term_value(t: UnitTerm, s: InversionSet) -> Fraction:
-    """Exact value of a term; negative exponents give honest fractions."""
+    """Exact value of a term; negative exponents give honest fractions.
+
+    Numerator and denominator are built as plain ints and wrapped in one
+    Fraction, which is much cheaper than multiplying Fraction powers.
+    """
     if len(t.exponents) != len(s):
         raise ValueError("exponent vector length does not match inversion set")
-    v = Fraction(t.sign)
+    num, den = t.sign, 1
     for p, e in zip(s.primes, t.exponents):
-        v *= Fraction(p) ** e
-    return v
+        if e >= 0:
+            num *= p**e
+        else:
+            den *= p**-e
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def is_member(q: Rational, s: InversionSet) -> bool:

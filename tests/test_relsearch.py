@@ -2,9 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import exhaustive_zero_subsum, relation_count_oracle
-from unitcycle.backends import SearchTooLarge
+from helpers import (
+    exhaustive_zero_subsum,
+    products_over,
+    quadruples_by_completion,
+    relation_count_oracle,
+)
+from unitcycle.backends import (
+    BACKEND_ENV,
+    INT64_VALUE_LIMIT,
+    SearchTooLarge,
+    available_backends,
+)
 from unitcycle.relsearch import (
     CEILING_ENV,
     DEFAULT_TERM_CEILING,
@@ -216,6 +228,40 @@ class TestFindRelations:
         a = find_relations(s, SearchConfig.npower(2))
         b = find_relations(s, SearchConfig.general(2))
         assert a == b
+
+
+@st.composite
+def small_searches(draw):
+    """A sorted set of 1-3 primes and a bound giving at most 121 terms."""
+    primes = draw(
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 89, 97]), min_size=1, max_size=3, unique=True)
+    )
+    bound = draw(st.integers(0, {1: 12, 2: 10, 3: 3}[len(primes)]))
+    return sorted(primes), bound
+
+
+class TestFindRelationsOracle:
+    """find_relations row for row against Relation.from_signed_values on the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(search=small_searches())
+    @example(search=([3], 39))  # largest term 3^39 > 2^61: big-int reroute
+    @example(search=([2, 89], 10))  # 2^10 * 89^10 > 2^61, 121 terms
+    def test_matches_quadruple_oracle(self, search):
+        primes, bound = search
+        values = products_over(primes, bound)
+        s = InversionSet(tuple(primes))
+        expected = [
+            Relation.from_signed_values(s, q) for q in quadruples_by_completion(values)
+        ]
+        for backend in available_backends():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv(BACKEND_ENV, backend)
+                assert find_relations(s, SearchConfig.general(bound)) == expected, backend
+
+    def test_examples_reach_the_big_int_engine(self):
+        assert max(products_over([3], 39)) > INT64_VALUE_LIMIT
+        assert max(products_over([2, 89], 10)) > INT64_VALUE_LIMIT
 
 
 class TestAdmits:

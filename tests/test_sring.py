@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from unitcycle.relsearch import Relation
 from unitcycle.sring import (
     InversionSet,
     UnitTerm,
@@ -120,3 +122,36 @@ class TestUnitTerm:
     def test_json_fractional_value(self):
         s = InversionSet.of(5)
         assert term_to_json(UnitTerm(1, (-2,)), s)["value"] == "1/25"
+
+
+def fraction_loop_value(t: UnitTerm, s: InversionSet) -> Fraction:
+    """Reference value: sign times Fraction prime powers, one factor at a time."""
+    v = Fraction(t.sign)
+    for p, e in zip(s.primes, t.exponents):
+        v *= Fraction(p) ** e
+    return v
+
+
+class TestTermValue:
+    def test_matches_fraction_loop_on_mixed_signs(self):
+        rng = random.Random(7)
+        s = InversionSet.of(2, 3, 5, 89)
+        for _ in range(500):
+            t = UnitTerm(rng.choice((-1, 1)), tuple(rng.randint(-6, 6) for _ in s.primes))
+            v = term_value(t, s)
+            assert type(v) is Fraction
+            assert v == fraction_loop_value(t, s), t
+
+    def test_json_values_unchanged(self):
+        s = InversionSet.of(5, 7)
+        assert term_to_json(UnitTerm(1, (1, 1)), s)["value"] == "35"
+        assert term_to_json(UnitTerm(-1, (0, 0)), s)["value"] == "-1"
+        assert term_to_json(UnitTerm(1, (-1, 0)), s)["value"] == "1/5"
+
+    def test_relation_still_checks_term_values(self):
+        s = InversionSet.of(3)
+        rel = Relation.from_signed_values(s, (-1, 3, -1, -1))
+        assert rel.values == (3, -1, -1, -1)
+        wrong = (UnitTerm(1, (0,)),) + rel.terms[1:]
+        with pytest.raises(ValueError, match="does not evaluate"):
+            Relation(s, wrong, rel.values)
