@@ -13,15 +13,14 @@ negated two-term sums: enumerate pairs (a <= b), bucket by sum, and join each
 bucket with its negation under the interleave constraint b <= c, which yields
 every sorted quadruple exactly once.
 
-Three interchangeable engines:
+Two interchangeable engines:
 
-  * numba  - @njit int64 kernel (default when numba imports)
-  * numpy  - vectorized int64 fallback
+  * numpy  - vectorized int64 kernel (default)
   * python - unbounded integers; also the overflow path when term values
              do not fit comfortably in int64
 
-Selection: environment variable UNITCYCLE_BACKEND = numba | numpy | python
-(unset or "auto" picks numba when available, else numpy).
+Selection: environment variable UNITCYCLE_BACKEND = numpy | python
+(unset or "auto" picks numpy).
 """
 
 from __future__ import annotations
@@ -30,13 +29,6 @@ import os
 from typing import Iterable, Sequence
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
 
 BACKEND_ENV = "UNITCYCLE_BACKEND"
 
@@ -52,18 +44,14 @@ class SearchTooLarge(RuntimeError):
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy", "python") if HAVE_NUMBA else ("numpy", "python")
+    return ("numpy", "python")
 
 
 def active_backend() -> str:
     """Resolve the backend from UNITCYCLE_BACKEND; read on every call."""
     env = os.environ.get(BACKEND_ENV, "").strip().lower()
     if env in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("UNITCYCLE_BACKEND=numba but numba is not importable")
-        return env
+        return "numpy"
     if env in ("numpy", "python"):
         return env
     raise ValueError(f"unrecognized {BACKEND_ENV} value {env!r}")
@@ -76,12 +64,6 @@ def _signed_descending(values: Sequence[int]) -> list[int]:
         w.append(v)
         w.append(-v)
     return w
-
-
-def _sorted_rows(rows: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Rows of an (n, 4) int64 array as tuples, in lexicographic order."""
-    order = np.lexsort(rows.T[::-1])
-    return list(map(tuple, rows[order].tolist()))
 
 
 def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
@@ -143,63 +125,9 @@ def _zero_quads_numpy(w_arr: np.ndarray) -> list[tuple[int, int, int, int]]:
         & (w[j] + w[k] != 0)
         & (w[j] + w[l] != 0)
     )
-    return _sorted_rows(np.stack([w[i], w[j], w[k], w[l]], axis=1)[keep])
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _zero_quads_kernel(w):  # pragma: no cover - compiled
-        m = w.shape[0]
-        npairs = m * (m + 1) // 2
-        sums = np.empty(npairs, np.int64)
-        pi = np.empty(npairs, np.int32)
-        pj = np.empty(npairs, np.int32)
-        idx = 0
-        for i in range(m):
-            wi = w[i]
-            for j in range(i, m):
-                sums[idx] = wi + w[j]
-                pi[idx] = i
-                pj[idx] = j
-                idx += 1
-        order = np.argsort(sums)
-        ss = sums[order]
-        cap = 64
-        out = np.empty((cap, 4), np.int64)
-        count = 0
-        for t in range(npairs):
-            s = ss[t]
-            if s == 0:
-                continue
-            p = order[t]
-            i = pi[p]
-            j = pj[p]
-            if w[i] <= 0:
-                continue
-            lo = np.searchsorted(ss, -s, side="left")
-            hi = np.searchsorted(ss, -s, side="right")
-            for u in range(lo, hi):
-                q = order[u]
-                k = pi[q]
-                l = pj[q]
-                if j > k:
-                    continue
-                if w[i] + w[k] == 0 or w[i] + w[l] == 0:
-                    continue
-                if w[j] + w[k] == 0 or w[j] + w[l] == 0:
-                    continue
-                if count == cap:
-                    cap *= 2
-                    grown = np.empty((cap, 4), np.int64)
-                    grown[:count] = out[:count]
-                    out = grown
-                out[count, 0] = w[i]
-                out[count, 1] = w[j]
-                out[count, 2] = w[k]
-                out[count, 3] = w[l]
-                count += 1
-        return out[:count].copy()
+    rows = np.stack([w[i], w[j], w[k], w[l]], axis=1)[keep]
+    rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, as the python engine sorts
+    return list(map(tuple, rows.tolist()))
 
 
 def zero_quadruples(
@@ -226,16 +154,7 @@ def zero_quadruples(
         )
     backend = active_backend()
     if backend != "python" and max(vs) <= INT64_VALUE_LIMIT:
-        w = np.array(_signed_descending(vs), dtype=np.int64)
-        if backend == "numba":
-            return _sorted_rows(_zero_quads_kernel(w))
-        return _zero_quads_numpy(w)
+        return _zero_quads_numpy(np.array(_signed_descending(vs), dtype=np.int64))
     # Unbounded-integer path: chosen explicitly or forced by int64 overflow risk.
     return _zero_quads_python(vs)
 
-
-def warmup() -> str:
-    """Trigger kernel compilation (no-op for non-numba backends); returns the backend."""
-    backend = active_backend()
-    zero_quadruples([1, 2, 3])
-    return backend

@@ -381,9 +381,9 @@ def dispatch(argv: list[str]) -> CommandResult:
     try:
         return args.func(args)
     except SearchTooLarge as e:
-        return CommandResult(3, f"search too large: {e}", None, bool(getattr(args, "json", False)))
+        return _result(args, 3, f"search too large: {e}", None)
     except (ValueError, ZeroDivisionError) as e:
-        return CommandResult(2, f"error: {e}", None, bool(getattr(args, "json", False)))
+        return _result(args, 2, f"error: {e}", None)
 
 
 def main(argv: list[str] | None = None) -> int:

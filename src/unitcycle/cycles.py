@@ -8,7 +8,6 @@ re-checkable with verify_cycle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -16,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 from .backends import SearchTooLarge
 from .exactnum import factor_over, smallest_prime_factor
 from .relsearch import resolve_ceiling
-from .sring import InversionSet, are_associates, is_member, is_unit
+from .sring import InversionSet, are_associates, is_member, is_unit, unit_count, unit_scan
 
 Rational = Union[int, Fraction]
 
@@ -164,11 +163,7 @@ def lagrange_cycle_poly(
                 for d in range(len(shifted))
             ]
     for i, c in enumerate(coeffs):
-        if not is_member(c, s):
-            _, cof = factor_over(c.denominator, s.primes)
-            raise RingMembershipError(
-                c, smallest_prime_factor(cof), f"coefficient of x^{i}"
-            )
+        _require_member(c, s, f"coefficient of x^{i}")
     return CycleWitness(s, xs, RationalPolynomial(tuple(coeffs)))
 
 
@@ -244,15 +239,6 @@ def orbit(
     return OrbitReport("no_cycle", None, None, max_iter)
 
 
-def _exponent_order(bound: int) -> list[int]:
-    """0, 1, -1, 2, -2, ...: widening scan so small witnesses surface first."""
-    out = [0]
-    for e in range(1, bound + 1):
-        out.append(e)
-        out.append(-e)
-    return out
-
-
 def zieve_unit_search(
     s: InversionSet, exponent_bound: int, *, ceiling: int | None = None
 ) -> tuple[Fraction, Fraction] | None:
@@ -264,20 +250,10 @@ def zieve_unit_search(
     """
     if exponent_bound < 0:
         raise ValueError("exponent bound must be >= 0")
-    comp = _exponent_order(exponent_bound)
-    n = len(s)
-    unit_count = 2 * len(comp) ** n
-    if unit_count * unit_count > resolve_ceiling(ceiling):
-        raise SearchTooLarge(
-            f"{unit_count}^2 candidate pairs exceed the configured ceiling"
-        )
-    units: list[Fraction] = []
-    for exps in itertools.product(comp, repeat=n):
-        mag = Fraction(1)
-        for p, e in zip(s.primes, exps):
-            mag *= Fraction(p) ** e
-        units.append(mag)
-        units.append(-mag)
+    count = unit_count(s, exponent_bound)
+    if count * count > resolve_ceiling(ceiling):
+        raise SearchTooLarge(f"{count}^2 candidate pairs exceed the configured ceiling")
+    units = unit_scan(s, exponent_bound)
     for u in units:
         if u == -1:
             continue  # u + 1 must stay nonzero

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .backends import SearchTooLarge
 from .relsearch import resolve_ceiling
-from .sring import InversionSet, is_unit
+from .sring import InversionSet, is_unit, unit_count, unit_scan
 
 
 @dataclass(frozen=True)
@@ -46,22 +46,6 @@ class CliqueWitness:
         )
 
 
-def _unit_scan(s: InversionSet, bound: int) -> list[Fraction]:
-    """Signed units in the fixed scan order: exponents 0, 1, -1, ...; + before -."""
-    comp = [0]
-    for e in range(1, bound + 1):
-        comp.append(e)
-        comp.append(-e)
-    out: list[Fraction] = []
-    for exps in itertools.product(comp, repeat=len(s)):
-        mag = Fraction(1)
-        for p, e in zip(s.primes, exps):
-            mag *= Fraction(p) ** e
-        out.append(mag)
-        out.append(-mag)
-    return out
-
-
 def unit_difference_clique(
     s: InversionSet, k: int, bound: int, *, ceiling: int | None = None
 ) -> CliqueWitness | None:
@@ -78,11 +62,13 @@ def unit_difference_clique(
     base = (Fraction(0), Fraction(1))
     if k == 2:
         return CliqueWitness(s, base)
-    candidates = [u for u in _unit_scan(s, bound) if u != 1]
-    if math.comb(len(candidates), k - 2) > resolve_ceiling(ceiling):
+    # The scan holds 1 exactly once, and 1 is already x2.
+    n_candidates = unit_count(s, bound) - 1
+    if math.comb(n_candidates, k - 2) > resolve_ceiling(ceiling):
         raise SearchTooLarge(
-            f"C({len(candidates)}, {k - 2}) extensions exceed the configured ceiling"
+            f"C({n_candidates}, {k - 2}) extensions exceed the configured ceiling"
         )
+    candidates = [u for u in unit_scan(s, bound) if u != 1]
 
     def extend(chosen: list[Fraction], start: int) -> tuple[Fraction, ...] | None:
         if len(chosen) == k:

@@ -7,6 +7,7 @@ units are the rationals ±p1^e1 * ... * pn^en with integer exponents.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -80,13 +81,40 @@ def term_value(t: UnitTerm, s: InversionSet) -> Fraction:
     """
     if len(t.exponents) != len(s):
         raise ValueError("exponent vector length does not match inversion set")
-    num, den = t.sign, 1
-    for p, e in zip(s.primes, t.exponents):
+    return _power_product(t.sign, s.primes, t.exponents)
+
+
+def _power_product(sign: int, primes: tuple[int, ...], exponents: tuple[int, ...]) -> Fraction:
+    num, den = sign, 1
+    for p, e in zip(primes, exponents):
         if e >= 0:
             num *= p**e
         else:
             den *= p**-e
     return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def unit_count(s: InversionSet, bound: int) -> int:
+    """len(unit_scan(s, bound)), known before any unit is built."""
+    return 2 * (2 * bound + 1) ** len(s)
+
+
+def unit_scan(s: InversionSet, bound: int) -> list[Fraction]:
+    """Signed units with exponents in [-bound, bound], in one fixed scan order.
+
+    Exponents widen 0, 1, -1, 2, -2, ... so small units surface first; the
+    exponent vectors run lexicographically in that order and each magnitude
+    comes before its negative.
+    """
+    order = [0]
+    for e in range(1, bound + 1):
+        order += (e, -e)
+    out: list[Fraction] = []
+    for exps in itertools.product(order, repeat=len(s)):
+        mag = _power_product(1, s.primes, exps)
+        out.append(mag)
+        out.append(-mag)
+    return out
 
 
 def is_member(q: Rational, s: InversionSet) -> bool:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from unitcycle import cycles, lenstra
 from unitcycle.avoidance import AbcPairReport, AvoidanceCertificate
 from unitcycle.cli import dispatch, main
 from unitcycle.cycles import CycleWitness, verify_cycle
@@ -65,6 +66,30 @@ def test_ceiling_env_variable(monkeypatch):
     assert dispatch(["admits", "5,7"]).exit_code == 3
     monkeypatch.delenv("UNITCYCLE_CEILING")
     assert dispatch(["admits", "5,7"]).exit_code == 0
+
+
+def test_unit_searches_refuse_before_building_units(monkeypatch):
+    # Both unit searches know their scan size in advance, so a search far
+    # above the ceiling (16.2M units here) ends at once with exit 3.
+    def no_scan(*args):
+        raise AssertionError("units built before the ceiling check")
+
+    monkeypatch.setattr(cycles, "unit_scan", no_scan)
+    monkeypatch.setattr(lenstra, "unit_scan", no_scan)
+    for cmd in ("zieve", "lenstra --k 4"):
+        argv = cmd.split() + ["--ring", "2,3,5", "--bound", "100", "--ceiling", "100"]
+        assert dispatch(argv).exit_code == 3
+
+
+@pytest.mark.parametrize("name", ["numba", "cython"])
+def test_unknown_backend_env_variable(monkeypatch, capsys, name):
+    # An engine name the package does not offer is a usage error (exit 2),
+    # not a crash and not a negative finding (exit 1).
+    monkeypatch.setenv("UNITCYCLE_BACKEND", name)
+    assert main(["admits", "5,7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unrecognized UNITCYCLE_BACKEND value '{name}'\n"
 
 
 class TestJsonPayloads:

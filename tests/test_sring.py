@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from unitcycle.sring import (
     term_from_json,
     term_to_json,
     term_value,
+    unit_count,
+    unit_scan,
 )
 
 
@@ -155,3 +158,35 @@ class TestTermValue:
         wrong = (UnitTerm(1, (0,)),) + rel.terms[1:]
         with pytest.raises(ValueError, match="does not evaluate"):
             Relation(s, wrong, rel.values)
+
+
+def fraction_power_scan(s: InversionSet, bound: int) -> list[Fraction]:
+    """Reference scan: Fraction prime powers over exponents 0, 1, -1, ..."""
+    order = [0]
+    for e in range(1, bound + 1):
+        order.append(e)
+        order.append(-e)
+    out = []
+    for exps in itertools.product(order, repeat=len(s)):
+        mag = Fraction(1)
+        for p, e in zip(s.primes, exps):
+            mag *= Fraction(p) ** e
+        out.append(mag)
+        out.append(-mag)
+    return out
+
+
+class TestUnitScan:
+    @pytest.mark.parametrize(
+        "primes,bound",
+        [((), 0), ((), 3), ((2,), 0), ((2,), 6), ((7,), 5), ((2, 3), 4), ((2, 3, 5), 3)],
+    )
+    def test_matches_fraction_power_scan(self, primes, bound):
+        s = InversionSet(primes)
+        units = unit_scan(s, bound)
+        assert units == fraction_power_scan(s, bound)
+        assert all(type(u) is Fraction for u in units)
+        assert len(units) == unit_count(s, bound) == 2 * (2 * bound + 1) ** len(primes)
+
+    def test_order_starts_small(self):
+        assert unit_scan(InversionSet.of(3), 1) == [1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3)]
