@@ -15,9 +15,12 @@ every sorted quadruple exactly once.
 
 Two interchangeable engines:
 
-  * numpy  - vectorized int64 kernel (default)
-  * python - unbounded integers; also the overflow path when term values
-             do not fit comfortably in int64
+  * numpy  - vectorized int64 kernel (default), for terms of any size.  Terms
+             up to INT64_VALUE_LIMIT are joined on their exact values; larger
+             ones on their residues mod RESIDUE_PRIME.  A vanishing sum
+             vanishes mod every prime, so the residue join loses no hit, and
+             an exact big-int sum of each hit drops the false positives.
+  * python - pure-Python hash join on unbounded integers, the reference.
 
 Selection: environment variable UNITCYCLE_BACKEND = numpy | python
 (unset or "auto" picks numpy).
@@ -32,8 +35,16 @@ import numpy as np
 
 BACKEND_ENV = "UNITCYCLE_BACKEND"
 
-# Pair sums of two values below this limit stay inside int64.
+# Pair sums of two values up to this limit stay inside int64, so the numpy
+# engine joins on exact values; above it, on residues mod RESIDUE_PRIME.
 INT64_VALUE_LIMIT = 2**61
+
+# A prime below 2^62, so residues and their pair sums stay in int64.  It is a
+# safe prime (P - 1 = 2q, q prime): only +-1 have multiplicative order below
+# q, so the powers of a term's primes do not repeat mod P.  Mod the Mersenne
+# prime 2^61 - 1 they would (2^61 == 1), and every power of 2 above 2^61
+# would collide with a small one and swell the join.
+RESIDUE_PRIME = 2**62 - 10565
 
 # Defensive cap on the two-term sum table, independent of the term ceiling.
 DEFAULT_PAIR_CEILING = 10_000_000
@@ -96,38 +107,42 @@ def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]
     return out
 
 
-def _zero_quads_numpy(w_arr: np.ndarray) -> list[tuple[int, int, int, int]]:
-    w = w_arr
-    m = w.shape[0]
+def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    w = _signed_descending(values)
+    m = len(w)
+    exact = w[0] <= INT64_VALUE_LIMIT
+    key = np.array(w if exact else [x % RESIDUE_PRIME for x in w], dtype=np.int64)
     ii, jj = np.triu_indices(m)
-    sums = w[ii] + w[jj]
+    sums = key[ii] + key[jj]
+    if not exact:
+        sums[sums >= RESIDUE_PRIME] -= RESIDUE_PRIME
     order = np.argsort(sums, kind="stable")
     ss = sums[order]
-    lo = np.searchsorted(ss, -ss, side="left")
-    hi = np.searchsorted(ss, -ss, side="right")
-    counts = hi - lo
-    counts[ss == 0] = 0
-    counts[w[ii[order]] <= 0] = 0
+    # Every filter reads indices only, so it is exact for residue keys too:
+    # W[a] > 0 exactly when a is even, W[a] + W[b] == 0 exactly when a ^ 1 == b.
+    oi, oj = ii[order], jj[order]
+    heads = np.flatnonzero((oi % 2 == 0) & (oi ^ 1 != oj))
+    target = -ss[heads] if exact else (RESIDUE_PRIME - ss[heads]) % RESIDUE_PRIME
+    lo = np.searchsorted(ss, target, side="left")
+    counts = np.searchsorted(ss, target, side="right") - lo
     total = int(counts.sum())
     if total == 0:
         return []
-    t_rep = np.repeat(np.arange(counts.shape[0]), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    u = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-    p = order[t_rep]
-    q = order[u]
-    i, j = ii[p], jj[p]
-    k, l = ii[q], jj[q]
-    keep = (
-        (j <= k)
-        & (w[i] + w[k] != 0)
-        & (w[i] + w[l] != 0)
-        & (w[j] + w[k] != 0)
-        & (w[j] + w[l] != 0)
-    )
-    rows = np.stack([w[i], w[j], w[k], w[l]], axis=1)[keep]
-    rows = rows[np.lexsort(rows.T[::-1])]  # lexicographic, as the python engine sorts
-    return list(map(tuple, rows.tolist()))
+    p = np.repeat(heads, counts)
+    i, j = oi[p], oj[p]
+    tails = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    k, l = oi[tails], oj[tails]
+    keep = (j <= k) & (i ^ 1 != k) & (i ^ 1 != l) & (j ^ 1 != k) & (j ^ 1 != l)
+    rows = np.stack([i, j, k, l], axis=1)[keep]
+    # Lexicographic by value, as the python engine sorts: index 2t holds +v_t,
+    # the (m-1-t)-th smallest entry of W, and 2t+1 holds -v_t, the t-th.
+    idx = np.arange(m)
+    rank = np.where(idx % 2 == 0, m - 1 - idx // 2, idx // 2)[rows]
+    rows = rows[np.lexsort(rank.T[::-1])]
+    if exact:
+        return list(map(tuple, key[rows].tolist()))
+    quads = ((w[a], w[b], w[c], w[d]) for a, b, c, d in rows.tolist())
+    return [quad for quad in quads if sum(quad) == 0]
 
 
 def zero_quadruples(
@@ -152,9 +167,7 @@ def zero_quadruples(
         raise SearchTooLarge(
             f"two-term sum table needs {npairs} entries, above the cap {ceiling}"
         )
-    backend = active_backend()
-    if backend != "python" and max(vs) <= INT64_VALUE_LIMIT:
-        return _zero_quads_numpy(np.array(_signed_descending(vs), dtype=np.int64))
-    # Unbounded-integer path: chosen explicitly or forced by int64 overflow risk.
-    return _zero_quads_python(vs)
+    if active_backend() == "python":
+        return _zero_quads_python(vs)
+    return _zero_quads_numpy(vs)
 

@@ -75,7 +75,9 @@ def survey_run(
 
     Full enumeration streams subsets in lexicographic order.  When their
     number exceeds `subset_ceiling`, pass full=True to force the scan or
-    `sample=N` for uniform random subsets drawn with a fixed seed.
+    `sample=N` for N distinct uniform random subsets drawn with a fixed seed
+    (every subset, in order, when N is at least their number).  Sampling
+    raises SearchTooLarge if 200*N draws give fewer than N distinct subsets.
     """
     if subset_size < 2:
         raise ValueError("subset_size must be >= 2")
@@ -86,18 +88,22 @@ def survey_run(
     total = math.comb(pool_size, subset_size)
 
     subsets: Iterable[tuple[int, ...]]
-    if sample is not None:
-        if sample < 1:
-            raise ValueError("sample must be >= 1")
+    if sample is not None and sample < 1:
+        raise ValueError("sample must be >= 1")
+    if sample is not None and sample < total:
         rng = random.Random(seed)
-        want = min(sample, total)
         picked: set[tuple[int, ...]] = set()
-        draws = 0
-        while len(picked) < want and draws < 200 * want:
+        for _ in range(200 * sample):
             picked.add(tuple(sorted(rng.sample(pool, subset_size))))
-            draws += 1
+            if len(picked) == sample:
+                break
+        else:
+            raise SearchTooLarge(
+                f"{200 * sample} random draws gave only {len(picked)} distinct "
+                f"subsets of the {sample} requested"
+            )
         subsets = sorted(picked)
-    elif total > subset_ceiling and not full:
+    elif sample is None and not full and total > subset_ceiling:
         raise SearchTooLarge(
             f"{total} subsets exceed the ceiling {subset_ceiling}; "
             "rerun with full=True (--full) or sampling (--sample N, fixed seed)"

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from helpers import exhaustive_zero_subsum, quadruples_by_completion
+from unitcycle import backends
+from unitcycle.exactnum import is_probable_prime
 from unitcycle.backends import (
     BACKEND_ENV,
     SearchTooLarge,
@@ -104,7 +106,7 @@ class TestOverflowPath:
     BIG = [3, 7, 2**62 + 7, 2**62 + 11]
 
     def test_big_values_match_oracle(self, each_backend):
-        # Every backend setting must reroute to exact big-int arithmetic here.
+        # Terms above 2^61: numpy joins on residues and checks each hit exactly.
         expected = quadruples_by_completion(self.BIG)
         assert len(expected) == 1
         assert zero_quadruples(self.BIG) == expected
@@ -119,9 +121,100 @@ class TestOverflowPath:
         assert len(result) == 1
 
     def test_values_straddling_limit(self, each_backend):
-        # Two terms below 2^61 and two above: the whole set takes the big-int
-        # path, and its one relation is (2^61+2) - (2^61-2) - 7 + 3 = 0.
+        # Two terms below 2^61 and two above: the whole set is keyed by
+        # residues, and its one relation is (2^61+2) - (2^61-2) - 7 + 3 = 0.
         values = [3, 7, 2**61 - 2, 2**61 + 2]
         result = zero_quadruples(values)
         assert result == quadruples_by_completion(values)
         assert result == [(2**61 + 2, -(2**61 - 2), -7, 3)]
+
+    # Above 2^61 the numpy engine joins on residues mod P, so sums that are
+    # nonzero multiples of P collide with zero.
+    P = backends.RESIDUE_PRIME
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # (P+5) - 3 - 1 - 1 = P: zero mod P, but not a relation.
+            ([1, 3, P + 5], [(3, -1, -1, -1)]),
+            # (P+7) - 7 = (P+5) - 5 = P: two pairs of the one relation are
+            # zero mod P, yet no subsum of it vanishes.
+            ([5, 7, P + 5, P + 7], [(P + 7, -(P + 5), -7, 5)]),
+            # Second relation: head pair (2P+3) - (P+3) = P, tail pair -P.
+            (
+                [1, P + 1, P + 3, 2 * P + 3],
+                [
+                    (P + 3, -(P + 1), -1, -1),
+                    (2 * P + 3, -(P + 3), -(P + 1), 1),
+                    (2 * P + 3, -(P + 1), -(P + 1), -1),
+                ],
+            ),
+            # Every residue is 0.
+            ([P, 3 * P], [(3 * P, -P, -P, -P)]),
+        ],
+        ids=["false-positive", "pairs-at-p", "head-pair-at-p", "all-residues-zero"],
+    )
+    def test_residue_collisions(self, each_backend, values, expected):
+        assert quadruples_by_completion(values) == expected
+        assert zero_quadruples(values) == expected
+
+    def test_residue_collisions_random(self, each_backend):
+        # Small values mixed with k*P + r: many residue collisions, some real.
+        rng = random.Random(0x61)
+        found = 0
+        for _ in range(40):
+            small = rng.sample(range(1, 50), rng.randint(1, 5))
+            rs = rng.sample(range(50), rng.randint(1, 5))
+            big = [rng.randint(1, 3) * self.P + r for r in rs]
+            values = small + big
+            expected = quadruples_by_completion(values)
+            assert zero_quadruples(values) == expected, values
+            found += len(expected)
+        assert found > 0
+
+
+class TestRouting:
+    SMALL = [1, 5, 7, 35]
+    BIG = [3, 7, 2**62 + 7, 2**62 + 11]
+
+    @staticmethod
+    def spy_on_python_engine(monkeypatch):
+        calls = []
+        real = backends._zero_quads_python
+
+        def spy(values):
+            calls.append(list(values))
+            return real(values)
+
+        monkeypatch.setattr(backends, "_zero_quads_python", spy)
+        return calls
+
+    @pytest.mark.parametrize("setting", [None, "auto", "numpy"])
+    def test_numpy_serves_every_size(self, monkeypatch, setting):
+        if setting is None:
+            monkeypatch.delenv(BACKEND_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BACKEND_ENV, setting)
+        calls = self.spy_on_python_engine(monkeypatch)
+        for values in (self.SMALL, self.BIG):
+            assert zero_quadruples(values) == quadruples_by_completion(values)
+        assert calls == []
+
+    def test_python_serves_every_size(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        calls = self.spy_on_python_engine(monkeypatch)
+        for values in (self.SMALL, self.BIG):
+            assert zero_quadruples(values) == quadruples_by_completion(values)
+        assert calls == [self.SMALL, self.BIG]
+
+
+def test_residue_prime_keeps_powers_apart():
+    # P < 2^62 keeps pair sums of residues in int64.  P - 1 = 2q with q prime,
+    # so only +-1 have multiplicative order below q: powers of a small prime
+    # do not repeat before exponent q, as they do mod the Mersenne prime
+    # 2^61 - 1, where 2^61 == 1.
+    P = backends.RESIDUE_PRIME
+    assert 2**61 < P < 2**62
+    assert is_probable_prime(P) and is_probable_prime((P - 1) // 2)
+    for p in (2, 3, 5, 7):
+        assert len({pow(p, a, P) for a in range(2000)}) == 2000

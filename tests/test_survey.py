@@ -1,4 +1,6 @@
+import itertools
 import re
+import types
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from helpers import relation_count_oracle
 from unitcycle.backends import SearchTooLarge
 from unitcycle.relsearch import SearchConfig, find_relations
+import unitcycle.survey as survey_module
 from unitcycle.sring import InversionSet
 from unitcycle.survey import (
     CSV_HEADER,
@@ -83,6 +86,29 @@ class TestSurveyRun:
         a_rows, _ = survey_run(10, 3, sample=10, seed=1)
         b_rows, _ = survey_run(10, 3, sample=10, seed=2)
         assert [r.primes for r in a_rows] != [r.primes for r in b_rows]
+
+    def test_sample_at_least_total_returns_every_subset(self):
+        every = list(itertools.combinations((2, 3, 5, 7, 11, 13), 5))
+        full_rows, full_agg = survey_run(6, 5)
+        for n in (6, 7, 100):
+            rows, agg = survey_run(6, 5, sample=n, subset_ceiling=3)
+            assert [r.primes for r in rows] == every
+            assert rows == full_rows and agg == full_agg
+
+    def test_sampling_shortfall_raises(self, monkeypatch):
+        class OneSubset:
+            def __init__(self, seed):
+                pass
+
+            def sample(self, pool, k):
+                return list(pool[:k])
+
+        monkeypatch.setattr(survey_module, "random", types.SimpleNamespace(Random=OneSubset))
+        with pytest.raises(SearchTooLarge, match="only 1 distinct subsets of the 5"):
+            survey_run(10, 3, sample=5)
+        # No draws are needed when the sample covers every subset.
+        rows, _ = survey_run(5, 4, sample=5)
+        assert len(rows) == 5
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
