@@ -1,17 +1,23 @@
 """Engines for the 4-term vanishing-sum search over a signed term set.
 
-Given the distinct positive term values t_1 < t_2 < ... the search works on
-the signed array W = (+t, -t for t descending) ordered by the canonical
-comparator (|w| descending, then w descending).  A hit is an index quadruple
+Given the distinct positive term values v_0 > v_1 > ... the search works on
+the signed array W = (+v_0, -v_0, +v_1, -v_1, ...), which is in the canonical
+order (|w| descending, then w descending).  A hit is an index quadruple
 i <= j <= k <= l with
 
     W[i] + W[j] + W[k] + W[l] == 0,   W[i] > 0,
     no two of the four summing to zero (subsum-free),
 
-reported as the value quadruple (W[i], W[j], W[k], W[l]).  All engines match
-negated two-term sums: enumerate pairs (a <= b), bucket by sum, and join each
-bucket with its negation under the interleave constraint b <= c, which yields
-every sorted quadruple exactly once.
+reported as the value quadruple (W[i], W[j], W[k], W[l]).
+
+Every hit has one of two shapes: 2-2, v_a + v_b = v_c + v_d, or 3-1,
+v_a = v_b + v_c + v_d.  The numpy engine sorts one table, the pairs b <= c
+keyed by v_b + v_c, and joins it twice: the members of each equal-key run
+with one another (2-2), and the differences v_a - v_d, looked up in it, with
+their matches (3-1).  The python engine matches negated two-term sums:
+enumerate pairs (a <= b), bucket by sum, and join each bucket with its
+negation under the interleave constraint b <= c, which yields every sorted
+quadruple exactly once.
 
 Two interchangeable engines:
 
@@ -46,7 +52,9 @@ INT64_VALUE_LIMIT = 2**61
 # would collide with a small one and swell the join.
 RESIDUE_PRIME = 2**62 - 10565
 
-# Defensive cap on the two-term sum table, independent of the term ceiling.
+# Defensive cap on the m(m+1)/2 two-term sums of the m = 2n signed terms,
+# independent of the term ceiling.  It bounds the work of a search; the
+# numpy engine's sorted table holds only the n(n+1)/2 positive pair sums.
 DEFAULT_PAIR_CEILING = 10_000_000
 
 
@@ -107,41 +115,69 @@ def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]
     return out
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the ranges [starts[x], starts[x] + counts[x]).
+
+    Returns each element's range x and the element itself.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, starts[owner] + offset
+
+
 def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    # Term t is v_t, the t-th largest value: W index 2t holds +v_t, 2t+1 -v_t.
     w = _signed_descending(values)
-    m = len(w)
+    n = len(w) // 2
     exact = w[0] <= INT64_VALUE_LIMIT
-    key = np.array(w if exact else [x % RESIDUE_PRIME for x in w], dtype=np.int64)
-    ii, jj = np.triu_indices(m)
-    sums = key[ii] + key[jj]
+    v = w[::2] if exact else [x % RESIDUE_PRIME for x in w[::2]]
+    key = np.array(v, dtype=np.int64)
+    # S: the pairs b <= c keyed by v_b + v_c, the one sorted table.  The stable
+    # sort keeps the row-major order of triu_indices inside each equal-key
+    # run, so b does not decrease along a run.
+    b, c = np.triu_indices(n)
+    sums = key[b] + key[c]
     if not exact:
         sums[sums >= RESIDUE_PRIME] -= RESIDUE_PRIME
     order = np.argsort(sums, kind="stable")
-    ss = sums[order]
-    # Every filter reads indices only, so it is exact for residue keys too:
-    # W[a] > 0 exactly when a is even, W[a] + W[b] == 0 exactly when a ^ 1 == b.
-    oi, oj = ii[order], jj[order]
-    heads = np.flatnonzero((oi % 2 == 0) & (oi ^ 1 != oj))
-    target = -ss[heads] if exact else (RESIDUE_PRIME - ss[heads]) % RESIDUE_PRIME
-    lo = np.searchsorted(ss, target, side="left")
-    counts = np.searchsorted(ss, target, side="right") - lo
-    total = int(counts.sum())
-    if total == 0:
+    ss, sb, sc = sums[order], b[order], c[order]
+    # 2-2, v_b + v_c = v_b' + v_c': every two members x < y of a run.  Two
+    # distinct pairs with one sum share no term, so b < b', and the pair
+    # holding the smaller term index, x, is the positive side.  y runs over
+    # the positions after x up to the end of its run.
+    later = np.arange(1, len(ss) + 1)
+    x, y = _ranges(later, np.searchsorted(ss, ss, side="right") - later)
+    # 3-1, v_a = v_b + v_c + v_d: the differences a < d (the pairs of S with
+    # b < c), keyed by v_a - v_d, each looked up in S.  Keeping c <= d makes d the smallest of the three
+    # terms, so each relation comes out once; v_a > v_b gives a < b.
+    a, d = b[b < c], c[b < c]
+    diffs = key[a] - key[d]
+    if not exact:
+        diffs[diffs < 0] += RESIDUE_PRIME
+    lo = np.searchsorted(ss, diffs, side="left")
+    f, g = _ranges(lo, np.searchsorted(ss, diffs, side="right") - lo)
+    keep = sc[g] <= d[f]
+    f, g = f[keep], g[keep]
+    if len(x) + len(f) == 0:
         return []
-    p = np.repeat(heads, counts)
-    i, j = oi[p], oj[p]
-    tails = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    k, l = oi[tails], oj[tails]
-    keep = (j <= k) & (i ^ 1 != k) & (i ^ 1 != l) & (j ^ 1 != k) & (j ^ 1 != l)
-    rows = np.stack([i, j, k, l], axis=1)[keep]
+    two_two = np.stack([2 * sb[x], 2 * sc[x], 2 * sb[y] + 1, 2 * sc[y] + 1], axis=1)
+    three_one = np.stack([2 * a[f], 2 * sb[g] + 1, 2 * sc[g] + 1, 2 * d[f] + 1], axis=1)
+    # Both shapes are subsum-free: a 2-2 row's pairs share no term and a
+    # 3-1 row's a is none of b, c, d, so no term meets its own negation, and
+    # no single term vanishes because the values are positive.  A row is its
+    # four indices in ascending order, because W is in canonical order; the
+    # 3-1 rows are built in it (a < b <= c <= d).
+    rows = np.concatenate([np.sort(two_two, axis=1), three_one])
     # Lexicographic by value, as the python engine sorts: index 2t holds +v_t,
     # the (m-1-t)-th smallest entry of W, and 2t+1 holds -v_t, the t-th.
+    m = 2 * n
     idx = np.arange(m)
     rank = np.where(idx % 2 == 0, m - 1 - idx // 2, idx // 2)[rows]
     rows = rows[np.lexsort(rank.T[::-1])]
     if exact:
-        return list(map(tuple, key[rows].tolist()))
-    quads = ((w[a], w[b], w[c], w[d]) for a, b, c, d in rows.tolist())
+        return list(map(tuple, np.array(w, dtype=np.int64)[rows].tolist()))
+    # Residue keys match every sum that vanishes mod P; keep those that vanish.
+    quads = ((w[i], w[j], w[k], w[l]) for i, j, k, l in rows.tolist())
     return [quad for quad in quads if sum(quad) == 0]
 
 

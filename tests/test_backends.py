@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import exhaustive_zero_subsum, quadruples_by_completion
 from unitcycle import backends
@@ -83,6 +85,24 @@ class TestZeroQuadruples:
     def test_no_hits(self, each_backend):
         assert zero_quadruples([1, 5, 25, 125]) == []
 
+    # Rows with one positive term are 3-1 relations, v_a = v_b + v_c + v_d;
+    # rows with two are 2-2 relations, v_a + v_b = v_c + v_d.
+    @pytest.mark.parametrize(
+        "values, shapes",
+        [
+            ([1, 13, 25], {2}),      # 25 + 1 = 13 + 13: a repeated term
+            ([1, 3], {1}),           # 3 = 1 + 1 + 1: all three tied
+            ([1, 5, 7], {1}),        # 7 = 5 + 1 + 1: the two smallest tied
+            ([1, 4, 7, 10], {2}),    # 7 + 1 = 4 + 4, 10 + 4 = 7 + 7, 10 + 1 = 7 + 4
+            ([1, 2, 6, 9], {1}),     # 6 = 2 + 2 + 2, 9 = 6 + 2 + 1
+        ],
+        ids=["2-2-repeated", "3-1-all-tied", "3-1-tied", "only-2-2", "only-3-1"],
+    )
+    def test_shapes(self, each_backend, values, shapes):
+        expected = quadruples_by_completion(values)
+        assert {sum(v > 0 for v in quad) for quad in expected} == shapes
+        assert zero_quadruples(values) == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             zero_quadruples([0, 1])
@@ -151,8 +171,13 @@ class TestOverflowPath:
             ),
             # Every residue is 0.
             ([P, 3 * P], [(3 * P, -P, -P, -P)]),
+            # The difference of residues (P+1) - 5 is 1 - 5 < 0; it wraps to P - 4.
+            ([5, P - 9, P + 1], [(P + 1, -(P - 9), -5, -5)]),
         ],
-        ids=["false-positive", "pairs-at-p", "head-pair-at-p", "all-residues-zero"],
+        ids=[
+            "false-positive", "pairs-at-p", "head-pair-at-p", "all-residues-zero",
+            "difference-wraps",
+        ],
     )
     def test_residue_collisions(self, each_backend, values, expected):
         assert quadruples_by_completion(values) == expected
@@ -171,6 +196,27 @@ class TestOverflowPath:
             assert zero_quadruples(values) == expected, values
             found += len(expected)
         assert found > 0
+
+
+# Small values, values just below and above 2^61 (where keys turn from exact
+# values to residues), and k*P + r, whose residues collide with small values.
+TERM_VALUES = st.one_of(
+    st.integers(1, 200),
+    st.integers(2**61 - 60, 2**61 + 60),
+    st.builds(
+        lambda k, r: k * backends.RESIDUE_PRIME + r,
+        st.integers(1, 3),
+        st.integers(-60, 60),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TERM_VALUES, min_size=1, max_size=12, unique=True))
+@example([3, 7, 2**61 - 4, 2**61])
+@example([5, backends.RESIDUE_PRIME - 9, backends.RESIDUE_PRIME + 1])
+def test_numpy_engine_matches_python_engine(values):
+    assert backends._zero_quads_numpy(values) == backends._zero_quads_python(values)
 
 
 class TestRouting:
