@@ -112,27 +112,48 @@ def canonicalize_values(values: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Relation:
-    """A canonical subsum-free vanishing quadruple of signed prime-power terms."""
+    """A canonical subsum-free vanishing quadruple of signed prime-power terms.
+
+    Every construction runs the full check, and the values must be ints.
+    """
 
     inversion_set: InversionSet
     terms: tuple[UnitTerm, ...]
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        s = self.inversion_set
-        if len(self.terms) != 4 or len(self.values) != 4:
+        primes = self.inversion_set.primes
+        values = self.values
+        if len(self.terms) != 4 or len(values) != 4:
             raise ValueError("a relation has exactly four terms")
-        for t, v in zip(self.terms, self.values):
-            if any(e < 0 for e in t.exponents):
+        for t, v in zip(self.terms, values):
+            exps = t.exponents
+            if exps and min(exps) < 0:
                 raise ValueError("relation exponents must be nonnegative")
-            if term_value(t, s) != v:
+            if len(exps) != len(primes):
+                raise ValueError("exponent vector length does not match inversion set")
+            # With every exponent nonnegative, term_value(t, s) is this int
+            # product: its denominator is 1.
+            if t.sign * math.prod(map(pow, primes, exps)) != v:
                 raise ValueError(f"term {t} does not evaluate to {v}")
-        if sum(self.values) != 0:
+        a, b, c, d = values
+        if a + b + c + d != 0:
             raise ValueError("relation values must sum to zero")
-        if has_zero_proper_subsum(self.values):
+        # With a zero total, has_zero_proper_subsum reduces to three pairs:
+        # each pair vanishes exactly when its complement does.
+        if a + b == 0 or a + c == 0 or a + d == 0:
             raise ValueError("relation has a vanishing proper subsum")
-        if self.values != canonicalize_values(self.values):
+        # No pair vanishes, so equal magnitudes mean equal values and the
+        # canonical order is |v| non-increasing from a positive head; a >= |b|
+        # makes the head positive.  A list never equals the tuple
+        # canonicalize_values returns.
+        if not (isinstance(values, tuple) and a >= abs(b) >= abs(c) >= abs(d)):
             raise ValueError("relation is not in canonical form")
+        # Exact arithmetic: a float or Fraction equal to the term is refused.
+        if not (
+            isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)
+        ):
+            raise ValueError("relation values must be ints")
 
     @classmethod
     def from_signed_values(

@@ -9,6 +9,7 @@ is part of the public contract being checked.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 def trial_is_prime(n: int) -> bool:
@@ -112,3 +113,37 @@ def products_over(primes, bound: int) -> list[int]:
 def relation_count_oracle(primes, bound: int) -> int:
     """Number of canonical relations over the primes at this exponent bound."""
     return len(quadruples_by_completion(products_over(primes, bound)))
+
+
+def relation_rejection(primes, terms, values) -> str | None:
+    """The check that refuses four (sign, exponents) terms and their values.
+
+    None when they form a Relation.  The constructor's checks written out
+    naively, in its order: four of each; per term, exponents nonnegative,
+    one per prime, and its value built as a Fraction one prime power at a
+    time; a zero total; no vanishing proper subset over all 14 of them; a
+    tuple in the canonical order (|v| descending, ties positive first) with
+    a positive head; int values.  Returns a fragment of the message.
+    """
+    if len(terms) != 4 or len(values) != 4:
+        return "exactly four terms"
+    for (sign, exps), v in zip(terms, values):
+        if any(e < 0 for e in exps):
+            return "exponents must be nonnegative"
+        if len(exps) != len(primes):
+            return "exponent vector length does not match"
+        x = Fraction(sign)
+        for p, e in zip(primes, exps):
+            x *= Fraction(p) ** e
+        if x != v:
+            return f"does not evaluate to {v}"
+    if sum(values) != 0:
+        return "must sum to zero"
+    if exhaustive_zero_subsum(values):
+        return "vanishing proper subsum"
+    canonical = sorted(values, key=lambda w: (-abs(w), -w))
+    if not isinstance(values, tuple) or list(values) != canonical or values[0] < 0:
+        return "not in canonical form"
+    if not all(isinstance(v, int) for v in values):
+        return "must be ints"
+    return None

@@ -115,6 +115,18 @@ class TestZeroQuadruples:
         with pytest.raises(SearchTooLarge):
             zero_quadruples(range(1, 201), max_pairs=1000)
 
+    def test_row_key_overflow_refused(self, monkeypatch):
+        # 2 * 27,555 signed terms: the base-m row key would pass 2^63.  The
+        # raised pair cap lets the search reach the numpy engine, which must
+        # refuse it before it builds the 380M-entry pair table.
+        def no_table(*args, **kwargs):
+            raise AssertionError("the pair table was built")
+
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        monkeypatch.setattr(backends.np, "triu_indices", no_table)
+        with pytest.raises(SearchTooLarge, match="row key"):
+            zero_quadruples(range(1, 27_556), max_pairs=10**10)
+
     def test_default_pair_ceiling_applies(self):
         # 2*len = 6000 signed entries -> ~18M pairs, above the 10M default cap.
         with pytest.raises(SearchTooLarge):

@@ -1,4 +1,7 @@
+import functools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,8 @@ from helpers import (
     products_over,
     quadruples_by_completion,
     relation_count_oracle,
+    relation_rejection,
+    trial_factor,
 )
 from unitcycle.backends import (
     BACKEND_ENV,
@@ -36,7 +41,7 @@ from unitcycle.relsearch import (
     singleton_mod_obstruction,
     term_table,
 )
-from unitcycle.sring import InversionSet
+from unitcycle.sring import InversionSet, UnitTerm
 
 
 class TestSearchConfig:
@@ -154,6 +159,142 @@ class TestRelation:
         s = InversionSet.of(5, 23)
         rel = Relation.from_signed_values(s, (23, 1, 1, -25))
         assert Relation.from_json_dict(rel.to_json_dict()) == rel
+
+
+# Direct construction over {5, 7}: the canonical relation 7 = 5 + 1 + 1 with
+# one thing spoiled per case, and the message of the check that catches it.
+_T7, _T5, _T1 = UnitTerm(1, (0, 1)), UnitTerm(-1, (1, 0)), UnitTerm(-1, (0, 0))
+_GOOD = ((_T7, _T5, _T1, _T1), (7, -5, -1, -1))
+_REJECTIONS = {
+    "three terms": ((_T7, _T5, _T1), (7, -5, -2), "exactly four terms"),
+    "negative exponent": (
+        (UnitTerm(1, (-1, 1)), _T5, _T1, _T1), (7, -5, -1, -1), "exponents must be nonnegative"
+    ),
+    "exponent vector length": (
+        (UnitTerm(1, (0, 1, 0)), _T5, _T1, _T1), (7, -5, -1, -1), "exponent vector length"
+    ),
+    "term value": ((_T7, _T1, _T5, _T1), (7, -5, -1, -1), r"does not evaluate to -5$"),
+    "nonzero sum": (
+        (_T7, _T5, _T1, UnitTerm(1, (0, 0))), (7, -5, -1, 1), "must sum to zero"
+    ),
+    "vanishing pair": (
+        (_T7, UnitTerm(-1, (0, 1)), UnitTerm(1, (0, 0)), _T1), (7, -7, 1, -1),
+        "vanishing proper subsum",
+    ),
+    "negative head": (
+        (UnitTerm(-1, (0, 1)), UnitTerm(1, (1, 0)), UnitTerm(1, (0, 0)), UnitTerm(1, (0, 0))),
+        (-7, 5, 1, 1),
+        "not in canonical form",
+    ),
+    "out of order": ((_T7, _T1, _T5, _T1), (7, -1, -5, -1), "not in canonical form"),
+    "values as a list": (_GOOD[0], list(_GOOD[1]), "not in canonical form"),
+    "float values": (_GOOD[0], (7.0, -5.0, -1.0, -1.0), "must be ints"),
+    "Fraction values": (_GOOD[0], tuple(map(Fraction, _GOOD[1])), "must be ints"),
+}
+
+
+class TestRelationRejections:
+    """One spoiled direct construction per check, each with its own message."""
+
+    def test_unspoiled_relation_is_accepted(self):
+        rel = Relation(InversionSet.of(5, 7), *_GOOD)
+        assert rel == Relation.from_signed_values(InversionSet.of(5, 7), (7, -5, -1, -1))
+
+    @pytest.mark.parametrize("case", list(_REJECTIONS))
+    def test_rejected_with_its_message(self, case):
+        terms, values, message = _REJECTIONS[case]
+        with pytest.raises(ValueError, match=message):
+            Relation(InversionSet.of(5, 7), terms, values)
+
+    def test_empty_inversion_set(self):
+        # Over Z every term is +-1, so four of them summing to zero contain a
+        # vanishing pair; the empty exponent vectors pass the earlier checks.
+        one, minus_one = UnitTerm(1, ()), UnitTerm(-1, ())
+        with pytest.raises(ValueError, match="vanishing proper subsum"):
+            Relation(InversionSet(()), (one, one, minus_one, minus_one), (1, 1, -1, -1))
+
+
+def _exponents(v, primes):
+    factors = trial_factor(abs(v))
+    return tuple(factors.count(p) for p in primes)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_quads(primes):
+    return quadruples_by_completion(products_over(primes, 2))
+
+
+@st.composite
+def relation_candidates(draw):
+    """Primes, (sign, exponents) terms and values for a direct construction.
+
+    The values are an oracle relation, a zero-sum quadruple with vanishing
+    pairs, or four random S-smooth values.  Each of five spoilers, a
+    shuffle, a global sign flip, a nudged exponent or sign, a wrong-length
+    exponent vector and a non-tuple or non-int container, applies one time
+    in four, so about one candidate in seven is a valid relation.
+    """
+    primes = tuple(
+        sorted(draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=2, unique=True)))
+    )
+    smooth = st.builds(
+        lambda sign, exps: sign * math.prod(p**e for p, e in zip(primes, exps)),
+        st.sampled_from([1, -1]),
+        st.tuples(*[st.integers(0, 3)] * len(primes)),
+    )
+    kind = draw(st.sampled_from(["relation", "relation", "vanishing pairs", "random"]))
+    quads = _oracle_quads(primes)
+    if kind == "relation" and quads:
+        values = list(draw(st.sampled_from(quads)))
+    elif kind == "vanishing pairs":
+        x, y = draw(smooth), draw(smooth)
+        values = draw(st.permutations([x, -x, y, -y]))
+    else:
+        values = [draw(smooth) for _ in range(4)]
+    spoil = lambda: draw(st.integers(0, 3)) == 0
+    if spoil():
+        values = [values[i] for i in draw(st.permutations(range(4)))]
+    if spoil():
+        values = [-v for v in values]
+    terms = [(1 if v > 0 else -1, _exponents(v, primes)) for v in values]
+    if spoil():
+        i = draw(st.integers(0, 3))
+        sign, exps = terms[i]
+        j = draw(st.integers(0, len(primes) - 1))
+        nudge = draw(st.sampled_from(["up", "down", "sign"]))
+        if nudge == "sign":
+            sign = -sign
+        else:
+            exps = exps[:j] + (exps[j] + (1 if nudge == "up" else -1),) + exps[j + 1 :]
+        terms[i] = (sign, exps)
+    if spoil():
+        i = draw(st.integers(0, 3))
+        terms[i] = (terms[i][0], terms[i][1] + (0,))
+    container = tuple
+    if spoil():
+        container = draw(
+            st.sampled_from([list, lambda vs: tuple(map(float, vs)), lambda vs: tuple(map(Fraction, vs))])
+        )
+    return primes, terms, container(values)
+
+
+class TestRelationOracle:
+    """Direct construction accepts what the naive checks accept, and refuses
+    the rest with the message of the first check that fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidate=relation_candidates())
+    def test_matches_naive_checks(self, candidate):
+        primes, terms, values = candidate
+        s = InversionSet(primes)
+        units = tuple(UnitTerm(sign, exps) for sign, exps in terms)
+        reason = relation_rejection(primes, terms, values)
+        if reason is None:
+            rel = Relation(s, units, values)
+            assert rel == Relation.from_signed_values(s, values)
+        else:
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                Relation(s, units, values)
 
 
 class TestTermTable:
