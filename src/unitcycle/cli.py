@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 affirmative result, 1 negative finding, 2 usage or input error,
-3 resource ceiling exceeded.  `--json` swaps the human text for a JSON body
+3 resource ceiling exceeded, 141 (128 + SIGPIPE) standard output closed by
+its reader.  `--json` swaps the human text for a JSON body
 that round-trips through the library parsers.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -392,13 +394,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse already printed usage; normalize its exit code
         return 0 if e.code in (0, None) else 2
-    if res.exit_code in (0, 1):
-        if res.as_json and res.payload is not None:
-            print(json.dumps(res.payload, indent=2))
+    try:
+        if res.exit_code in (0, 1):
+            if res.as_json and res.payload is not None:
+                print(json.dumps(res.payload, indent=2))
+            else:
+                print(res.text)
         else:
-            print(res.text)
-    else:
-        print(res.text, file=sys.stderr)
+            print(res.text, file=sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`): exit 128 + SIGPIPE, with
+        # the descriptor on the null device so the final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return res.exit_code
 
 

@@ -110,11 +110,54 @@ def canonicalize_values(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(vs)
 
 
+def _check_term(primes: tuple[int, ...], t: UnitTerm, v: int) -> None:
+    """Refuse a term with a negative exponent, the wrong exponent count, or
+    a value other than v."""
+    exps = t.exponents
+    if exps and min(exps) < 0:
+        raise ValueError("relation exponents must be nonnegative")
+    if len(exps) != len(primes):
+        raise ValueError("exponent vector length does not match inversion set")
+    # With every exponent nonnegative, term_value(t, s) is this int
+    # product: its denominator is 1.
+    if t.sign * math.prod(map(pow, primes, exps)) != v:
+        raise ValueError(f"term {t} does not evaluate to {v}")
+
+
+def _check_values(values: Sequence[int]) -> None:
+    """Refuse values that are not a canonical subsum-free zero-sum int 4-tuple."""
+    if len(values) != 4:
+        raise ValueError("a relation has exactly four terms")
+    a, b, c, d = values
+    if a + b + c + d != 0:
+        raise ValueError("relation values must sum to zero")
+    # With a zero total, has_zero_proper_subsum reduces to three pairs:
+    # each pair vanishes exactly when its complement does.
+    if a + b == 0 or a + c == 0 or a + d == 0:
+        raise ValueError("relation has a vanishing proper subsum")
+    # No pair vanishes, so equal magnitudes mean equal values and the
+    # canonical order is |v| non-increasing from a positive head; a >= |b|
+    # makes the head positive.  A list never equals the tuple
+    # canonicalize_values returns.
+    if not (isinstance(values, tuple) and a >= abs(b) >= abs(c) >= abs(d)):
+        raise ValueError("relation is not in canonical form")
+    # Exact arithmetic: a float or Fraction equal to the term is refused.
+    if not (
+        isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)
+    ):
+        raise ValueError("relation values must be ints")
+
+
 @dataclass(frozen=True)
 class Relation:
     """A canonical subsum-free vanishing quadruple of signed prime-power terms.
 
-    Every construction runs the full check, and the values must be ints.
+    Every relation has passed every check, and its values are ints.  Direct
+    construction (and so `from_signed_values`, `from_json_dict` and every
+    certificate's `verify()`) checks each (term, value) pair with
+    `_check_term`, then the values with `_check_values`.  `find_relations`
+    runs the same two checks on its own path: `_check_term` once per distinct
+    signed value of the search, `_check_values` on every row.
     """
 
     inversion_set: InversionSet
@@ -127,33 +170,8 @@ class Relation:
         if len(self.terms) != 4 or len(values) != 4:
             raise ValueError("a relation has exactly four terms")
         for t, v in zip(self.terms, values):
-            exps = t.exponents
-            if exps and min(exps) < 0:
-                raise ValueError("relation exponents must be nonnegative")
-            if len(exps) != len(primes):
-                raise ValueError("exponent vector length does not match inversion set")
-            # With every exponent nonnegative, term_value(t, s) is this int
-            # product: its denominator is 1.
-            if t.sign * math.prod(map(pow, primes, exps)) != v:
-                raise ValueError(f"term {t} does not evaluate to {v}")
-        a, b, c, d = values
-        if a + b + c + d != 0:
-            raise ValueError("relation values must sum to zero")
-        # With a zero total, has_zero_proper_subsum reduces to three pairs:
-        # each pair vanishes exactly when its complement does.
-        if a + b == 0 or a + c == 0 or a + d == 0:
-            raise ValueError("relation has a vanishing proper subsum")
-        # No pair vanishes, so equal magnitudes mean equal values and the
-        # canonical order is |v| non-increasing from a positive head; a >= |b|
-        # makes the head positive.  A list never equals the tuple
-        # canonicalize_values returns.
-        if not (isinstance(values, tuple) and a >= abs(b) >= abs(c) >= abs(d)):
-            raise ValueError("relation is not in canonical form")
-        # Exact arithmetic: a float or Fraction equal to the term is refused.
-        if not (
-            isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)
-        ):
-            raise ValueError("relation values must be ints")
+            _check_term(primes, t, v)
+        _check_values(values)
 
     @classmethod
     def from_signed_values(
@@ -216,21 +234,37 @@ def find_relations(
 
     Complete and duplicate-free; rows are ordered lexicographically by their
     canonical value quadruple, independent of the backend in use.
+
+    Every returned relation has passed every check of `Relation`.  Each
+    distinct term is checked once, before any row, so a faulty kernel or
+    term table reports a bad term before a bad row; the messages are those
+    of direct construction.
     """
     if len(s) == 0:
         raise ValueError("relation search needs a nonempty inversion set")
     table = term_table(s, cfg.bound, ceiling=ceiling)
     rows = zero_quadruples(table.keys())
     # One shared (frozen) UnitTerm per signed value that occurs in a row, not
-    # four new ones per row.
-    terms = {
-        v: UnitTerm(1 if v > 0 else -1, table[abs(v)])
-        for v in {v for row in rows for v in row}
-    }
-    return [
-        Relation(s, (terms[a], terms[b], terms[c], terms[d]), (a, b, c, d))
-        for a, b, c, d in rows
-    ]
+    # four new ones per row.  Each is checked against its value here, and
+    # each row below takes its terms by its own values, so every (term,
+    # value) pair of every relation is checked; _check_values checks the
+    # rest.  The object is then filled in as Relation.__init__ would, without
+    # checking the same terms again for every row.
+    terms = {}
+    for v in {v for row in rows for v in row}:
+        t = terms[v] = UnitTerm(1 if v > 0 else -1, table[abs(v)])
+        _check_term(s.primes, t, v)
+    new, set_field = object.__new__, object.__setattr__
+    out = []
+    for row in rows:
+        _check_values(row)
+        a, b, c, d = row
+        rel = new(Relation)
+        set_field(rel, "inversion_set", s)
+        set_field(rel, "terms", (terms[a], terms[b], terms[c], terms[d]))
+        set_field(rel, "values", row)
+        out.append(rel)
+    return out
 
 
 def admits_4cycle(

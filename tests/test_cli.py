@@ -1,8 +1,12 @@
 import importlib.metadata
 import json
+import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,58 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "u = 1, v = 1" in proc.stdout
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["admits", "5,7", "--json"], ["admits", "5", "--mode", "general:10"]],
+    ids=" ".join,
+)
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # The read end is closed before the child starts, so its first write fails:
+    # in print when unbuffered, else when main flushes.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "unitcycle.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
+def _readme_examples() -> list[tuple[list[str], int]]:
+    """(argv, exit code) for each `unitcycle ...` line of the README's
+    "Command line" block; the code is the comment's `exit N`, else 0."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("unitcycle "):
+            code = re.search(r"#.*\bexit (\d+)", line)
+            argv = shlex.split(line, comments=True)[1:]
+            examples.append((argv, int(code.group(1)) if code else 0))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_found():
+    assert len(README_EXAMPLES) == 12
+
+
+@pytest.mark.parametrize("argv,code", README_EXAMPLES, ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_readme_example_exit_code(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code, capsys.readouterr()

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from helpers import (
     relation_rejection,
     trial_factor,
 )
+from unitcycle import relsearch
 from unitcycle.backends import (
     BACKEND_ENV,
     INT64_VALUE_LIMIT,
@@ -295,6 +297,47 @@ class TestRelationOracle:
         else:
             with pytest.raises(ValueError, match=re.escape(reason)):
                 Relation(s, units, values)
+
+
+# The search path over {5, 7} fed one spoiled term-table entry or kernel row
+# at a time: (table entries replaced, the row after a good one, the message).
+_TABLE_5_7 = {1: (0, 0), 5: (1, 0), 7: (0, 1), 35: (1, 1)}
+_ROW = (7, -5, -1, -1)
+_SEARCH_SPOILERS = {
+    "negative exponent": ({7: (-1, 1)}, _ROW, "exponents must be nonnegative"),
+    "exponent vector length": ({7: (0, 1, 0)}, _ROW, "exponent vector length"),
+    "term value": ({5: (0, 1)}, _ROW, r"does not evaluate to -5$"),
+    "row length": ({}, (7, -5, -1), "exactly four terms"),
+    "nonzero sum": ({}, (7, -5, -1, 1), "must sum to zero"),
+    "vanishing pair": ({}, (7, -7, 1, -1), "vanishing proper subsum"),
+    "out of order": ({}, (7, -1, -5, -1), "not in canonical form"),
+    "list row": ({}, list(_ROW), "not in canonical form"),
+    "np.int64 values": ({}, tuple(map(np.int64, _ROW)), "must be ints"),
+}
+
+
+class TestFindRelationsChecks:
+    """find_relations runs every check of direct construction on its rows."""
+
+    def _search(self, monkeypatch, table, rows):
+        monkeypatch.setattr(relsearch, "term_table", lambda *args, **kwargs: table)
+        monkeypatch.setattr(relsearch, "zero_quadruples", lambda values: rows)
+        return find_relations(InversionSet.of(5, 7), SearchConfig.linear())
+
+    def test_unspoiled_rows_are_relations(self, monkeypatch):
+        rels = self._search(monkeypatch, _TABLE_5_7, [_ROW])
+        assert rels == [Relation.from_signed_values(InversionSet.of(5, 7), _ROW)]
+
+    @pytest.mark.parametrize("case", list(_SEARCH_SPOILERS))
+    def test_spoiled_search_raises_the_direct_message(self, monkeypatch, case):
+        spoiled, row, message = _SEARCH_SPOILERS[case]
+        table = {**_TABLE_5_7, **spoiled}
+        terms = tuple(UnitTerm(1 if v > 0 else -1, table[abs(v)]) for v in row)
+        with pytest.raises(ValueError, match=message) as direct:
+            Relation(InversionSet.of(5, 7), terms, row)
+        with pytest.raises(ValueError) as searched:
+            self._search(monkeypatch, table, [_ROW, row])
+        assert str(searched.value) == str(direct.value)
 
 
 class TestTermTable:
