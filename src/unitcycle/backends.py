@@ -30,6 +30,12 @@ Two interchangeable engines:
 
 Selection: environment variable UNITCYCLE_BACKEND = numpy | python
 (unset or "auto" picks numpy).
+
+Size: every search has one ceiling, resolve_ceiling(): an explicit argument,
+else UNITCYCLE_CEILING, else DEFAULT_CEILING.  Both engines refuse with
+SearchTooLarge, before allocating anything, when the n(n+1)/2 pair sums
+exceed it; the term table and the unit scans compare their own sizes with
+the same number.
 """
 
 from __future__ import annotations
@@ -52,14 +58,22 @@ INT64_VALUE_LIMIT = 2**61
 # would collide with a small one and swell the join.
 RESIDUE_PRIME = 2**62 - 10565
 
-# Defensive cap on the m(m+1)/2 two-term sums of the m = 2n signed terms,
-# independent of the term ceiling.  It bounds the work of a search; the
-# numpy engine's sorted table holds only the n(n+1)/2 positive pair sums.
-DEFAULT_PAIR_CEILING = 10_000_000
+DEFAULT_CEILING = 2_000_000
+CEILING_ENV = "UNITCYCLE_CEILING"
 
 
 class SearchTooLarge(RuntimeError):
     """A search would exceed a configured resource ceiling."""
+
+
+def resolve_ceiling(explicit: int | None = None) -> int:
+    """Effective search ceiling: explicit argument, else UNITCYCLE_CEILING, else default."""
+    if explicit is not None:
+        return explicit
+    env = os.environ.get(CEILING_ENV, "").strip()
+    if env:
+        return int(env)
+    return DEFAULT_CEILING
 
 
 def available_backends() -> tuple[str, ...]:
@@ -131,8 +145,8 @@ def _value_order(rows: np.ndarray, m: int) -> np.ndarray:
     This is the order the python engine sorts in: index 2t holds +v_t, the
     (m-1-t)-th smallest entry of W, and 2t+1 holds -v_t, the t-th.  The four
     ranks packed in base m sort in the same order.  The key is below m**4,
-    which fits int64 for m <= 55,108 (the numpy engine checks on entry); the
-    default pair cap, m(m+1)/2 <= DEFAULT_PAIR_CEILING, keeps m <= 4,471.
+    which fits int64 for m <= 55,108 (the numpy engine checks on entry); at
+    the default ceiling, n(n+1)/2 <= DEFAULT_CEILING keeps m = 2n <= 3,998.
     Distinct rows give distinct keys, so any sort gives the one permutation.
     The stable sort is the one the pair table already uses; the default
     quicksort saved 0.04 s on 1.3M rows but paged in about 0.3 MB more of
@@ -202,25 +216,23 @@ def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
 def zero_quadruples(
     values: Iterable[int],
     *,
-    max_pairs: int | None = None,
+    ceiling: int | None = None,
 ) -> list[tuple[int, int, int, int]]:
     """All canonical subsum-free vanishing quadruples over ±values.
 
     `values` must be distinct positive integers.  Rows come back sorted
-    lexicographically, identically for every backend.
+    lexicographically, identically for every backend.  More than
+    resolve_ceiling(ceiling) pair sums n(n+1)/2 raise SearchTooLarge.
     """
     vs = list(values)
     if not vs:
         return []
     if any(v <= 0 for v in vs) or len(set(vs)) != len(vs):
         raise ValueError("term values must be distinct positive integers")
-    m = 2 * len(vs)
-    npairs = m * (m + 1) // 2
-    ceiling = DEFAULT_PAIR_CEILING if max_pairs is None else max_pairs
-    if npairs > ceiling:
-        raise SearchTooLarge(
-            f"two-term sum table needs {npairs} entries, above the cap {ceiling}"
-        )
+    npairs = len(vs) * (len(vs) + 1) // 2
+    limit = resolve_ceiling(ceiling)
+    if npairs > limit:
+        raise SearchTooLarge(f"{npairs} pair sums exceed the ceiling {limit}")
     if active_backend() == "python":
         return _zero_quads_python(vs)
     return _zero_quads_numpy(vs)

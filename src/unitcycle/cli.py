@@ -265,7 +265,7 @@ def cmd_survey(args) -> CommandResult:
         full=args.full,
         sample=args.sample,
         seed=args.seed,
-        term_ceiling=args.ceiling,
+        ceiling=args.ceiling,
     )
     written = []
     if args.csv:
@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ceiling",
         type=int,
         default=None,
-        help="search ceiling override (also via UNITCYCLE_CEILING)",
+        help="search size ceiling: terms and pair sums, unit pairs or extensions "
+        "(also via UNITCYCLE_CEILING)",
     )
 
     parser = argparse.ArgumentParser(

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .backends import SearchTooLarge
+from .backends import SearchTooLarge, resolve_ceiling
 from .exactnum import factor_over, smallest_prime_factor
-from .relsearch import resolve_ceiling
 from .sring import InversionSet, are_associates, is_member, is_unit, unit_count, unit_scan
 
 Rational = Union[int, Fraction]
 
-DEFAULT_BIT_CEILING = 4096
+BIT_CEILING = 4096
 
 
 class RingMembershipError(ValueError):
@@ -209,16 +208,10 @@ class OrbitReport:
         }
 
 
-def orbit(
-    poly: RationalPolynomial,
-    start: Rational,
-    max_iter: int,
-    *,
-    bit_ceiling: int = DEFAULT_BIT_CEILING,
-) -> OrbitReport:
+def orbit(poly: RationalPolynomial, start: Rational, max_iter: int) -> OrbitReport:
     """Iterate poly from start, detecting eventual periodicity exactly.
 
-    Iterates whose numerator or denominator outgrow the bit ceiling end the
+    Iterates whose numerator or denominator outgrow BIT_CEILING bits end the
     run with outcome "escaping" (a divergence guard, not an error).
     """
     if max_iter < 1:
@@ -228,8 +221,8 @@ def orbit(
     for i in range(1, max_iter + 1):
         x = poly.evaluate(x)
         if (
-            x.numerator.bit_length() > bit_ceiling
-            or x.denominator.bit_length() > bit_ceiling
+            x.numerator.bit_length() > BIT_CEILING
+            or x.denominator.bit_length() > BIT_CEILING
         ):
             return OrbitReport("escaping", None, None, i)
         if x in seen:

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import SearchTooLarge
-from .relsearch import resolve_ceiling
+from .backends import SearchTooLarge, resolve_ceiling
 from .sring import InversionSet, is_unit, unit_count, unit_scan
 
 

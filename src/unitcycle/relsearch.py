@@ -12,29 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .backends import SearchTooLarge, zero_quadruples
+from .backends import CEILING_ENV  # noqa: F401  (read as relsearch.CEILING_ENV)
+from .backends import SearchTooLarge, resolve_ceiling, zero_quadruples
 from .exactnum import factor_over, is_probable_prime, radical
 from .sring import InversionSet, UnitTerm, term_from_json, term_to_json, term_value
 
 Rational = Union[int, Fraction]
-
-DEFAULT_TERM_CEILING = 2_000_000
-CEILING_ENV = "UNITCYCLE_CEILING"
-
-
-def resolve_ceiling(explicit: int | None = None) -> int:
-    """Effective term ceiling: explicit argument, else UNITCYCLE_CEILING, else default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(CEILING_ENV, "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_TERM_CEILING
 
 
 @dataclass(frozen=True)
@@ -243,7 +230,7 @@ def find_relations(
     if len(s) == 0:
         raise ValueError("relation search needs a nonempty inversion set")
     table = term_table(s, cfg.bound, ceiling=ceiling)
-    rows = zero_quadruples(table.keys())
+    rows = zero_quadruples(table.keys(), ceiling=ceiling)
     # One shared (frozen) UnitTerm per signed value that occurs in a row, not
     # four new ones per row.  Each is checked against its value here, and
     # each row below takes its terms by its own values, so every (term,

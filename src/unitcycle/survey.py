@@ -21,7 +21,7 @@ from .exactnum import first_primes
 from .relsearch import SearchConfig, find_relations
 from .sring import InversionSet
 
-DEFAULT_SUBSET_CEILING = 20_000
+SUBSET_CEILING = 20_000
 DEFAULT_SAMPLE_SEED = 0x5EED
 
 CSV_HEADER = "primes;min_gap;relation_count"
@@ -68,16 +68,17 @@ def survey_run(
     full: bool = False,
     sample: int | None = None,
     seed: int = DEFAULT_SAMPLE_SEED,
-    subset_ceiling: int = DEFAULT_SUBSET_CEILING,
-    term_ceiling: int | None = None,
+    ceiling: int | None = None,
 ) -> tuple[list[SurveyRow], ScatterAggregate]:
     """Survey subsets of the first `pool_size` primes.
 
     Full enumeration streams subsets in lexicographic order.  When their
-    number exceeds `subset_ceiling`, pass full=True to force the scan or
+    number exceeds SUBSET_CEILING, pass full=True to force the scan or
     `sample=N` for N distinct uniform random subsets drawn with a fixed seed
     (every subset, in order, when N is at least their number).  Sampling
     raises SearchTooLarge if 200*N draws give fewer than N distinct subsets.
+    `ceiling` is the search ceiling of each subset's `find_relations`: its
+    terms and pair sums.
     """
     if subset_size < 2:
         raise ValueError("subset_size must be >= 2")
@@ -103,9 +104,9 @@ def survey_run(
                 f"subsets of the {sample} requested"
             )
         subsets = sorted(picked)
-    elif sample is None and not full and total > subset_ceiling:
+    elif sample is None and not full and total > SUBSET_CEILING:
         raise SearchTooLarge(
-            f"{total} subsets exceed the ceiling {subset_ceiling}; "
+            f"{total} subsets exceed the ceiling {SUBSET_CEILING}; "
             "rerun with full=True (--full) or sampling (--sample N, fixed seed)"
         )
     else:
@@ -114,7 +115,7 @@ def survey_run(
     rows: list[SurveyRow] = []
     for primes in subsets:
         s = InversionSet(primes)
-        count = len(find_relations(s, mode, ceiling=term_ceiling))
+        count = len(find_relations(s, mode, ceiling=ceiling))
         rows.append(SurveyRow(primes, min_gap(s), count))
     return rows, aggregate_rows(rows)
 

@@ -9,6 +9,7 @@ from unitcycle import backends
 from unitcycle.exactnum import is_probable_prime
 from unitcycle.backends import (
     BACKEND_ENV,
+    CEILING_ENV,
     SearchTooLarge,
     active_backend,
     available_backends,
@@ -113,11 +114,11 @@ class TestZeroQuadruples:
 
     def test_pair_ceiling(self):
         with pytest.raises(SearchTooLarge):
-            zero_quadruples(range(1, 201), max_pairs=1000)
+            zero_quadruples(range(1, 201), ceiling=1000)
 
     def test_row_key_overflow_refused(self, monkeypatch):
         # 2 * 27,555 signed terms: the base-m row key would pass 2^63.  The
-        # raised pair cap lets the search reach the numpy engine, which must
+        # raised ceiling lets the search reach the numpy engine, which must
         # refuse it before it builds the 380M-entry pair table.
         def no_table(*args, **kwargs):
             raise AssertionError("the pair table was built")
@@ -125,12 +126,54 @@ class TestZeroQuadruples:
         monkeypatch.setenv(BACKEND_ENV, "numpy")
         monkeypatch.setattr(backends.np, "triu_indices", no_table)
         with pytest.raises(SearchTooLarge, match="row key"):
-            zero_quadruples(range(1, 27_556), max_pairs=10**10)
+            zero_quadruples(range(1, 27_556), ceiling=10**10)
 
     def test_default_pair_ceiling_applies(self):
-        # 2*len = 6000 signed entries -> ~18M pairs, above the 10M default cap.
+        # 3,000 values -> 4,501,500 pair sums, above the 2,000,000 default.
         with pytest.raises(SearchTooLarge):
             zero_quadruples(range(1, 3001))
+
+
+class TestPairCeiling:
+    """The one search ceiling bounds the n(n+1)/2 pair sums of every engine."""
+
+    def test_boundary(self, each_backend):
+        # 100 values have 5,050 pair sums and 110,261 relations (the count
+        # quadruples_by_completion gives).
+        assert len(zero_quadruples(range(1, 101), ceiling=5050)) == 110_261
+        with pytest.raises(SearchTooLarge, match="^5050 pair sums exceed the ceiling 5049$"):
+            zero_quadruples(range(1, 101), ceiling=5049)
+
+    def test_environment_ceiling(self, monkeypatch):
+        monkeypatch.setenv(CEILING_ENV, "5049")
+        with pytest.raises(SearchTooLarge, match="^5050 pair sums exceed the ceiling 5049$"):
+            zero_quadruples(range(1, 101))
+        monkeypatch.setenv(CEILING_ENV, "5050")
+        assert len(zero_quadruples(range(1, 101))) == 110_261
+
+    def test_explicit_ceiling_lifts_the_default(self, monkeypatch):
+        # 2,300 values: 2,646,150 pair sums, and 10,582,300 signed sums,
+        # which the old fixed 10M cap refused.  A sentinel stands
+        # in for the pair table so nothing large is allocated.
+        class PastTheCheck(Exception):
+            pass
+
+        def sentinel(*args, **kwargs):
+            raise PastTheCheck
+
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        monkeypatch.setattr(backends.np, "triu_indices", sentinel)
+        with pytest.raises(PastTheCheck):
+            zero_quadruples(range(1, 2301), ceiling=10**8)
+
+    def test_refused_before_any_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the pair table was built")
+
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        monkeypatch.setattr(backends.np, "triu_indices", no_table)
+        with pytest.raises(SearchTooLarge, match="pair sums"):
+            zero_quadruples(range(1, 101), ceiling=100)
 
 
 class TestOverflowPath:

@@ -72,6 +72,39 @@ def test_ceiling_env_variable(monkeypatch):
     assert dispatch(["admits", "5,7"]).exit_code == 0
 
 
+# Exact stderr of exit-3 requests.  The first three are the requests whose
+# bytes the benchmark's golden digests pin.
+EXIT_3_STDERR = [
+    (
+        ["admits", "5,7", "--ceiling", "3"],
+        "search too large: 4 candidate terms exceed the ceiling 3\n",
+    ),
+    (
+        ["zieve", "--ring", "2,3,5", "--bound", "30", "--ceiling", "100"],
+        "search too large: 453962^2 candidate pairs exceed the configured ceiling\n",
+    ),
+    (
+        ["survey", "--pool", "50", "--size", "5"],
+        "search too large: 2118760 subsets exceed the ceiling 20000; "
+        "rerun with full=True (--full) or sampling (--sample N, fixed seed)\n",
+    ),
+    # The ceiling bounds the pair sums too: 3,125 terms fit, their
+    # 4,884,375 pair sums do not; 4 terms fit a ceiling of 5, their 10 do not.
+    (
+        ["admits", "2,3,5,7,11", "--mode", "general:4", "--ceiling", "1000000"],
+        "search too large: 4884375 pair sums exceed the ceiling 1000000\n",
+    ),
+    (["admits", "5,7", "--ceiling", "5"], "search too large: 10 pair sums exceed the ceiling 5\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stderr", EXIT_3_STDERR, ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_exit_3_stderr(monkeypatch, capsys, argv, stderr):
+    monkeypatch.delenv("UNITCYCLE_CEILING", raising=False)
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", stderr)
+
+
 def test_unit_searches_refuse_before_building_units(monkeypatch):
     # Both unit searches know their scan size in advance, so a search far
     # above the ceiling (16.2M units here) ends at once with exit 3.

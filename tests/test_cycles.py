@@ -156,7 +156,7 @@ class TestOrbit:
         assert rep.iterations == 5
 
     def test_escaping(self):
-        rep = orbit(RationalPolynomial((1, 0, 1)), 1, 10**6, bit_ceiling=64)
+        rep = orbit(RationalPolynomial((1, 0, 1)), 1, 10**6)
         assert rep.outcome == "escaping"
         assert rep.iterations < 20
 

@@ -20,13 +20,14 @@ from helpers import (
 from unitcycle import relsearch
 from unitcycle.backends import (
     BACKEND_ENV,
+    CEILING_ENV,
+    DEFAULT_CEILING,
     INT64_VALUE_LIMIT,
     SearchTooLarge,
     available_backends,
+    resolve_ceiling,
 )
 from unitcycle.relsearch import (
-    CEILING_ENV,
-    DEFAULT_TERM_CEILING,
     PN_MINUS_2,
     TWIN,
     TWO_P_PLUS_1,
@@ -39,7 +40,6 @@ from unitcycle.relsearch import (
     doubleton_family,
     find_relations,
     has_zero_proper_subsum,
-    resolve_ceiling,
     singleton_mod_obstruction,
     term_table,
 )
@@ -321,7 +321,7 @@ class TestFindRelationsChecks:
 
     def _search(self, monkeypatch, table, rows):
         monkeypatch.setattr(relsearch, "term_table", lambda *args, **kwargs: table)
-        monkeypatch.setattr(relsearch, "zero_quadruples", lambda values: rows)
+        monkeypatch.setattr(relsearch, "zero_quadruples", lambda values, **kwargs: rows)
         return find_relations(InversionSet.of(5, 7), SearchConfig.linear())
 
     def test_unspoiled_rows_are_relations(self, monkeypatch):
@@ -351,7 +351,7 @@ class TestTermTable:
 
     def test_resolve_ceiling_precedence(self, monkeypatch):
         monkeypatch.delenv(CEILING_ENV, raising=False)
-        assert resolve_ceiling() == DEFAULT_TERM_CEILING
+        assert resolve_ceiling() == DEFAULT_CEILING
         monkeypatch.setenv(CEILING_ENV, "123")
         assert resolve_ceiling() == 123
         assert resolve_ceiling(7) == 7  # explicit beats the environment

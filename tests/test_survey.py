@@ -62,13 +62,22 @@ class TestSurveyRun:
         with pytest.raises(ValueError):
             survey_run(5, 1)
 
-    def test_subset_ceiling(self):
+    def test_subset_ceiling(self, monkeypatch):
+        monkeypatch.setattr(survey_module, "SUBSET_CEILING", 3)
         with pytest.raises(SearchTooLarge) as e:
-            survey_run(6, 5, subset_ceiling=3)
+            survey_run(6, 5)
         assert "--full" in str(e.value) or "full=True" in str(e.value)
 
-    def test_full_overrides_ceiling(self):
-        rows, _ = survey_run(6, 5, full=True, subset_ceiling=3)
+    def test_full_overrides_ceiling(self, monkeypatch):
+        monkeypatch.setattr(survey_module, "SUBSET_CEILING", 3)
+        rows, _ = survey_run(6, 5, full=True)
+        assert len(rows) == 6
+
+    def test_search_ceiling_reaches_each_subset(self):
+        # Each 5-prime subset in linear mode has 32 terms and 528 pair sums.
+        with pytest.raises(SearchTooLarge, match="^528 pair sums exceed the ceiling 100$"):
+            survey_run(6, 5, ceiling=100)
+        rows, _ = survey_run(6, 5, ceiling=528)
         assert len(rows) == 6
 
     def test_default_ceiling_blocks_large_pool(self):
@@ -87,11 +96,12 @@ class TestSurveyRun:
         b_rows, _ = survey_run(10, 3, sample=10, seed=2)
         assert [r.primes for r in a_rows] != [r.primes for r in b_rows]
 
-    def test_sample_at_least_total_returns_every_subset(self):
+    def test_sample_at_least_total_returns_every_subset(self, monkeypatch):
         every = list(itertools.combinations((2, 3, 5, 7, 11, 13), 5))
         full_rows, full_agg = survey_run(6, 5)
+        monkeypatch.setattr(survey_module, "SUBSET_CEILING", 3)
         for n in (6, 7, 100):
-            rows, agg = survey_run(6, 5, sample=n, subset_ceiling=3)
+            rows, agg = survey_run(6, 5, sample=n)
             assert [r.primes for r in rows] == every
             assert rows == full_rows and agg == full_agg
 
