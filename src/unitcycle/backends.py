@@ -67,13 +67,25 @@ class SearchTooLarge(RuntimeError):
 
 
 def resolve_ceiling(explicit: int | None = None) -> int:
-    """Effective search ceiling: explicit argument, else UNITCYCLE_CEILING, else default."""
+    """Effective search ceiling: explicit argument, else UNITCYCLE_CEILING, else default.
+
+    A negative or non-integer ceiling is an input error (ValueError) that
+    names its source, not a search too large.
+    """
     if explicit is not None:
+        if explicit < 0:
+            raise ValueError(f"--ceiling must be a nonnegative integer, got {explicit}")
         return explicit
     env = os.environ.get(CEILING_ENV, "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_CEILING
+    if not env:
+        return DEFAULT_CEILING
+    try:
+        value = int(env)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"{CEILING_ENV} must be a nonnegative integer, got {env!r}")
+    return value
 
 
 def available_backends() -> tuple[str, ...]:

@@ -4,11 +4,15 @@ Exit codes: 0 affirmative result, 1 negative finding, 2 usage or input error,
 3 resource ceiling exceeded, 141 (128 + SIGPIPE) standard output closed by
 its reader.  `--json` swaps the human text for a JSON body
 that round-trips through the library parsers.
+
+`main` can be called repeatedly in one process: the argparse parser is
+built once and reused, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -290,7 +294,9 @@ def cmd_survey(args) -> CommandResult:
     return _result(args, 0, text, payload)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument(

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .backends import SearchTooLarge, resolve_ceiling
-from .exactnum import factor_over, smallest_prime_factor
-from .sring import InversionSet, are_associates, is_member, is_unit, unit_count, unit_scan
+from .exactnum import cofactor_over, factor_over, smallest_prime_factor
+from .sring import InversionSet, is_member, unit_count, unit_scan
 
 Rational = Union[int, Fraction]
 
@@ -247,17 +247,28 @@ def zieve_unit_search(
     if count * count > resolve_ceiling(ceiling):
         raise SearchTooLarge(f"{count}^2 candidate pairs exceed the configured ceiling")
     units = unit_scan(s, exponent_bound)
-    for u in units:
-        if u == -1:
-            continue  # u + 1 must stay nonzero
-        for v in units:
-            if u + v == 0:
+    # Scaled by D = prod(p**B), each unit u is the int U = D*u, and the tests
+    # become S-free cofactors of ints: 1 + u + v is a unit iff D + U + V has
+    # cofactor 1, and u + v ~ u + 1 iff U + V and U + D have equal cofactors.
+    primes = s.primes
+    d = 1
+    for p in primes:
+        d *= p**exponent_bound
+    scaled = [d * u.numerator // u.denominator for u in units]
+    for i, big_u in enumerate(scaled):
+        u_plus_1 = big_u + d
+        if u_plus_1 == 0:
+            continue  # u = -1: u + 1 must stay nonzero
+        target = cofactor_over(u_plus_1, primes)
+        for j, big_v in enumerate(scaled):
+            u_plus_v = big_u + big_v
+            if u_plus_v == 0:
                 continue
-            w = 1 + u + v
+            w = u_plus_v + d
             if w == 0:
                 continue
-            if are_associates(u + v, u + 1, s) and is_unit(w, s):
-                return u, v
+            if cofactor_over(u_plus_v, primes) == target and cofactor_over(w, primes) == 1:
+                return units[i], units[j]
     return None
 
 

@@ -101,6 +101,18 @@ def factor_over(n: int, primes: Sequence[int]) -> tuple[list[int], int]:
     return exps, m
 
 
+def cofactor_over(n: int, primes: Sequence[int]) -> int:
+    """The cofactor of factor_over(n, primes): |n| with the listed primes divided out.
+
+    No argument checks, for hot loops: n must be nonzero and the primes distinct.
+    """
+    m = abs(n)
+    for p in primes:
+        while m % p == 0:
+            m //= p
+    return m
+
+
 def radical(values: Sequence[int], primes: Sequence[int]) -> int:
     """Product of the listed primes that divide at least one of the values.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import SearchTooLarge, resolve_ceiling
+from .exactnum import cofactor_over
 from .sring import InversionSet, is_unit, unit_count, unit_scan
 
 
@@ -67,16 +68,18 @@ def unit_difference_clique(
         raise SearchTooLarge(
             f"C({n_candidates}, {k - 2}) extensions exceed the configured ceiling"
         )
-    candidates = [u for u in unit_scan(s, bound) if u != 1]
+    # Scaled by D = prod(p**bound), each candidate is an int, and c - x is a
+    # unit iff D*c - D*x has S-free cofactor 1.
+    primes = s.primes
+    d = math.prod(p**bound for p in primes)
+    candidates = [d * u.numerator // u.denominator for u in unit_scan(s, bound) if u != 1]
 
-    def extend(chosen: list[Fraction], start: int) -> tuple[Fraction, ...] | None:
+    def extend(chosen: list[int], start: int) -> list[int] | None:
         if len(chosen) == k:
-            return tuple(chosen)
+            return chosen
         for idx in range(start, len(candidates)):
             c = candidates[idx]
-            if any(c == x for x in chosen):
-                continue
-            if all(is_unit(c - x, s) for x in chosen):
+            if all(c != x and cofactor_over(c - x, primes) == 1 for x in chosen):
                 chosen.append(c)
                 hit = extend(chosen, idx + 1)
                 if hit is not None:
@@ -84,10 +87,10 @@ def unit_difference_clique(
                 chosen.pop()
         return None
 
-    hit = extend(list(base), 0)
+    hit = extend([0, d], 0)
     if hit is None:
         return None
-    return CliqueWitness(s, hit)
+    return CliqueWitness(s, tuple(Fraction(x, d) for x in hit))
 
 
 def z2_four_clique_obstruction(bound: int) -> bool:

@@ -147,3 +147,70 @@ def relation_rejection(primes, terms, values) -> str | None:
     if not all(isinstance(v, int) for v in values):
         return "must be ints"
     return None
+
+
+def unit_scan_oracle(primes, bound: int) -> list[Fraction]:
+    """Signed units with exponents in [-bound, bound], in the documented scan order.
+
+    Exponents widen 0, 1, -1, 2, -2, ...; exponent vectors run
+    lexicographically in that order, each magnitude before its negative.
+    """
+    order = [0] + [e for k in range(1, bound + 1) for e in (k, -k)]
+    out = []
+    for exps in itertools.product(order, repeat=len(primes)):
+        mag = Fraction(1)
+        for p, e in zip(primes, exps):
+            mag *= Fraction(p) ** e
+        out += [mag, -mag]
+    return out
+
+
+def is_unit_oracle(q: Fraction, primes) -> bool:
+    """Nonzero q is a unit iff dividing the primes out of its numerator and
+    of its denominator leaves 1 in each."""
+    if q == 0:
+        raise ValueError("0 is not a candidate unit")
+    for n in (q.numerator, q.denominator):
+        m = abs(n)
+        for p in primes:
+            while m % p == 0:
+                m //= p
+        if m != 1:
+            return False
+    return True
+
+
+def zieve_oracle(primes, bound: int) -> tuple[Fraction, Fraction] | None:
+    """The unit-pair scan in Fraction arithmetic: the first (u, v) in scan
+    order with u + 1, u + v and 1 + u + v nonzero, (u + v) / (u + 1) a unit
+    and 1 + u + v a unit."""
+    units = unit_scan_oracle(primes, bound)
+    for u in units:
+        if u == -1:
+            continue
+        for v in units:
+            if u + v == 0 or 1 + u + v == 0:
+                continue
+            if is_unit_oracle((u + v) / (u + 1), primes) and is_unit_oracle(1 + u + v, primes):
+                return u, v
+    return None
+
+
+def clique_oracle(primes, k: int, bound: int) -> tuple[Fraction, ...] | None:
+    """The first unit-difference clique 0, 1, c3, ..., ck over the scan's
+    units other than 1, by depth-first search in scan order, in Fraction
+    arithmetic."""
+    candidates = [u for u in unit_scan_oracle(primes, bound) if u != 1]
+
+    def extend(chosen, start):
+        if len(chosen) == k:
+            return tuple(chosen)
+        for idx in range(start, len(candidates)):
+            c = candidates[idx]
+            if c not in chosen and all(is_unit_oracle(c - x, primes) for x in chosen):
+                hit = extend(chosen + [c], idx + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    return extend([Fraction(0), Fraction(1)], 0)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from unitcycle import cycles, lenstra
+from unitcycle import cli, cycles, lenstra
 from unitcycle.avoidance import AbcPairReport, AvoidanceCertificate
 from unitcycle.cli import dispatch, main
 from unitcycle.cycles import CycleWitness, verify_cycle
@@ -116,6 +116,29 @@ def test_unit_searches_refuse_before_building_units(monkeypatch):
     for cmd in ("zieve", "lenstra --k 4"):
         argv = cmd.split() + ["--ring", "2,3,5", "--bound", "100", "--ceiling", "100"]
         assert dispatch(argv).exit_code == 3
+
+
+# A ceiling that is not a nonnegative integer is a usage error that names
+# where it came from, not a search too large.
+BAD_CEILINGS = [
+    ({"UNITCYCLE_CEILING": "abc"}, ["admits", "5,7"],
+     "error: UNITCYCLE_CEILING must be a nonnegative integer, got 'abc'\n"),
+    ({"UNITCYCLE_CEILING": "-5"}, ["admits", "5,7"],
+     "error: UNITCYCLE_CEILING must be a nonnegative integer, got '-5'\n"),
+    ({}, ["admits", "5,7", "--ceiling", "-1"],
+     "error: --ceiling must be a nonnegative integer, got -1\n"),
+    ({}, ["zieve", "--ring", "2", "--ceiling", "-1"],
+     "error: --ceiling must be a nonnegative integer, got -1\n"),
+]
+
+
+@pytest.mark.parametrize("env,argv,stderr", BAD_CEILINGS, ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_bad_ceiling_is_a_usage_error(monkeypatch, capsys, env, argv, stderr):
+    monkeypatch.delenv("UNITCYCLE_CEILING", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", stderr)
 
 
 @pytest.mark.parametrize("name", ["numba", "cython"])
@@ -326,3 +349,47 @@ def test_readme_examples_found():
 def test_readme_example_exit_code(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code, capsys.readouterr()
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def _run(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_readme_examples_repeat_in_one_process(tmp_path, monkeypatch, capsys):
+    # Forward, then backward: each example follows a different one the second
+    # time, and must print the same bytes with the same exit code.
+    monkeypatch.chdir(tmp_path)
+    argvs = [argv for argv, _ in README_EXAMPLES]
+    first = {i: _run(capsys, argv) for i, argv in enumerate(argvs)}
+    second = {i: _run(capsys, argvs[i]) for i in reversed(range(len(argvs)))}
+    assert second == first
+    assert [first[i][0] for i in range(len(argvs))] == [code for _, code in README_EXAMPLES]
+
+
+def test_usage_error_leaves_no_trace(capsys):
+    valid = ["admits", "5,7"]
+    cli.build_parser.cache_clear()
+    alone = _run(capsys, valid)
+    # argparse has read --mode and --json before it refuses --ceiling.
+    code, out, err = _run(capsys, ["admits", "5,7", "--mode", "general:2", "--json", "--ceiling", "x"])
+    assert (code, out) == (2, "") and "argument --ceiling: invalid int value" in err
+    assert _run(capsys, valid) == alone
+
+
+def test_survey_default_seed_after_explicit_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    survey = ["survey", "--pool", "10", "--size", "4", "--sample", "5", "--json"]
+    cli.build_parser.cache_clear()
+    default = _run(capsys, survey)
+    seeded = _run(capsys, [*survey, "--seed", "2"])
+    assert seeded[0] == 0 and seeded != default  # the seed picks other subsets
+    assert _run(capsys, survey) == default

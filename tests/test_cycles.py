@@ -3,7 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import zieve_oracle
 from unitcycle.backends import SearchTooLarge
 from unitcycle.cycles import (
     CycleWitness,
@@ -185,6 +188,33 @@ class TestZieve:
             zieve_unit_search(InversionSet.of(2), -1)
         with pytest.raises(SearchTooLarge):
             zieve_unit_search(InversionSet.of(2, 3, 5), 30, ceiling=100)
+
+    # The grid the int scan was first checked on; the oracle's Fraction scan
+    # takes about a second on {5,17,257} at bound 2, so bound 3 is pinned
+    # by its answer instead.
+    @pytest.mark.parametrize(
+        "primes,bound",
+        [((2,), 2), ((5,), 6), ((7,), 5), ((5, 7), 3), ((5, 13), 3), ((13, 17), 3),
+         ((5, 79), 3), ((5, 17, 257), 2)],
+        ids=str,
+    )
+    def test_grid_matches_fraction_oracle(self, primes, bound):
+        assert zieve_unit_search(InversionSet(primes), bound) == zieve_oracle(primes, bound)
+
+    def test_three_primes_bound_3_has_no_pair(self):
+        assert zieve_unit_search(InversionSet.of(5, 17, 257), 3) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        primes=st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]), max_size=2, unique=True),
+        bound=st.integers(0, 3),
+    )
+    def test_matches_fraction_oracle(self, primes, bound):
+        primes = tuple(sorted(primes))
+        hit = zieve_unit_search(InversionSet(primes), bound)
+        assert hit == zieve_oracle(primes, bound)
+        if hit is not None:
+            assert all(type(x) is Fraction for x in hit)
 
     def test_found_pair_satisfies_criterion(self):
         from unitcycle.sring import are_associates, is_unit

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import trial_is_prime
 from unitcycle.exactnum import (
+    cofactor_over,
     factor_over,
     first_primes,
     is_probable_prime,
@@ -102,6 +103,13 @@ class TestFactorOver:
             assert rebuilt == abs(n)
             for p in primes:
                 assert cof % p != 0
+
+    def test_cofactor_over_is_the_cofactor(self):
+        rng = random.Random(34)
+        for _ in range(200):
+            primes = rng.sample((2, 3, 5, 7, 11, 13), rng.randrange(0, 4))
+            n = rng.randrange(1, 10**9) * rng.choice((1, -1))
+            assert cofactor_over(n, primes) == factor_over(n, primes)[1]
 
 
 class TestRadical:

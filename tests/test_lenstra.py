@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import trial_factor
+from helpers import clique_oracle, trial_factor
 from unitcycle.backends import SearchTooLarge
 from unitcycle.lenstra import (
     CliqueWitness,
@@ -65,6 +67,30 @@ class TestUnitDifferenceClique:
         assert w is not None
         for a, b in itertools.combinations(w.elements, 2):
             assert is_unit(b - a, w.inversion_set)
+
+    # The benchmark's lenstra requests, and searches that run to the end.
+    @pytest.mark.parametrize(
+        "primes,k,bound",
+        [((2,), 3, 4), ((2,), 4, 6), ((3,), 3, 3), ((2, 3), 4, 1), ((2, 3), 4, 2),
+         ((5, 7), 3, 3), ((2, 3), 5, 2), ((2,), 4, 20)],
+        ids=str,
+    )
+    def test_matches_fraction_oracle(self, primes, k, bound):
+        w = unit_difference_clique(InversionSet(primes), k, bound)
+        assert (w and w.elements) == clique_oracle(primes, k, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        primes=st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]), max_size=2, unique=True),
+        k=st.integers(2, 5),
+        bound=st.integers(0, 3),
+    )
+    def test_matches_fraction_oracle_on_small_rings(self, primes, k, bound):
+        primes = tuple(sorted(primes))
+        w = unit_difference_clique(InversionSet(primes), k, bound)
+        assert (w and w.elements) == clique_oracle(primes, k, bound)
+        if w is not None:
+            assert all(type(x) is Fraction for x in w.elements) and w.verify()
 
     def test_validation(self):
         with pytest.raises(ValueError):

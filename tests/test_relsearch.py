@@ -356,6 +356,19 @@ class TestTermTable:
         assert resolve_ceiling() == 123
         assert resolve_ceiling(7) == 7  # explicit beats the environment
 
+    @pytest.mark.parametrize("text", ["abc", "-5", "1e6", "2.5"])
+    def test_resolve_ceiling_refuses_bad_environment(self, monkeypatch, text):
+        monkeypatch.setenv(CEILING_ENV, text)
+        with pytest.raises(ValueError, match=f"^{CEILING_ENV} must be a nonnegative integer"):
+            resolve_ceiling()
+        assert resolve_ceiling(7) == 7  # an explicit ceiling never reads it
+
+    def test_resolve_ceiling_refuses_negative_argument(self, monkeypatch):
+        monkeypatch.delenv(CEILING_ENV, raising=False)
+        with pytest.raises(ValueError, match="^--ceiling must be a nonnegative integer, got -1$"):
+            resolve_ceiling(-1)
+        assert resolve_ceiling(0) == 0
+
 
 class TestFindRelations:
     def test_singleton_three(self):
