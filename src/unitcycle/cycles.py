@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .backends import SearchTooLarge, resolve_ceiling
 from .exactnum import cofactor_over, factor_over, smallest_prime_factor
-from .sring import InversionSet, is_member, unit_count, unit_scan
+from .sring import InversionSet, is_member, scaled_unit_scan, unit_count
 
 Rational = Union[int, Fraction]
 
@@ -246,21 +246,17 @@ def zieve_unit_search(
     count = unit_count(s, exponent_bound)
     if count * count > resolve_ceiling(ceiling):
         raise SearchTooLarge(f"{count}^2 candidate pairs exceed the configured ceiling")
-    units = unit_scan(s, exponent_bound)
-    # Scaled by D = prod(p**B), each unit u is the int U = D*u, and the tests
+    # With D = prod(p**B), each unit u is the int U = D*u, and the tests
     # become S-free cofactors of ints: 1 + u + v is a unit iff D + U + V has
     # cofactor 1, and u + v ~ u + 1 iff U + V and U + D have equal cofactors.
+    d, scaled = scaled_unit_scan(s, exponent_bound)
     primes = s.primes
-    d = 1
-    for p in primes:
-        d *= p**exponent_bound
-    scaled = [d * u.numerator // u.denominator for u in units]
-    for i, big_u in enumerate(scaled):
+    for big_u in scaled:
         u_plus_1 = big_u + d
         if u_plus_1 == 0:
             continue  # u = -1: u + 1 must stay nonzero
         target = cofactor_over(u_plus_1, primes)
-        for j, big_v in enumerate(scaled):
+        for big_v in scaled:
             u_plus_v = big_u + big_v
             if u_plus_v == 0:
                 continue
@@ -268,7 +264,7 @@ def zieve_unit_search(
             if w == 0:
                 continue
             if cofactor_over(u_plus_v, primes) == target and cofactor_over(w, primes) == 1:
-                return units[i], units[j]
+                return Fraction(big_u, d), Fraction(big_v, d)
     return None
 
 

@@ -104,8 +104,11 @@ def factor_over(n: int, primes: Sequence[int]) -> tuple[list[int], int]:
 def cofactor_over(n: int, primes: Sequence[int]) -> int:
     """The cofactor of factor_over(n, primes): |n| with the listed primes divided out.
 
-    No argument checks, for hot loops: n must be nonzero and the primes distinct.
+    For hot loops, the primes are not checked: they must be distinct.
+    n == 0 is rejected.
     """
+    if n == 0:
+        raise ValueError("cannot factor 0")
     m = abs(n)
     for p in primes:
         while m % p == 0:

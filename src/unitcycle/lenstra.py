@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .backends import SearchTooLarge, resolve_ceiling
 from .exactnum import cofactor_over
-from .sring import InversionSet, is_unit, unit_count, unit_scan
+from .sring import InversionSet, is_unit, scaled_unit_scan, unit_count
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ def unit_difference_clique(
         raise SearchTooLarge(
             f"C({n_candidates}, {k - 2}) extensions exceed the configured ceiling"
         )
-    # Scaled by D = prod(p**bound), each candidate is an int, and c - x is a
-    # unit iff D*c - D*x has S-free cofactor 1.
+    # With D = prod(p**bound), each candidate c is the int D*c, and c - x is
+    # a unit iff D*c - D*x has S-free cofactor 1.
+    d, scaled = scaled_unit_scan(s, bound)
     primes = s.primes
-    d = math.prod(p**bound for p in primes)
-    candidates = [d * u.numerator // u.denominator for u in unit_scan(s, bound) if u != 1]
+    candidates = [c for c in scaled if c != d]
 
     def extend(chosen: list[int], start: int) -> list[int] | None:
         if len(chosen) == k:

@@ -8,6 +8,7 @@ units are the rationals ±p1^e1 * ... * pn^en with integer exponents.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -104,17 +105,29 @@ def unit_scan(s: InversionSet, bound: int) -> list[Fraction]:
 
     Exponents widen 0, 1, -1, 2, -2, ... so small units surface first; the
     exponent vectors run lexicographically in that order and each magnitude
-    comes before its negative.
+    comes before its negative.  The order is defined once, by scaled_unit_scan.
+    """
+    d, scaled = scaled_unit_scan(s, bound)
+    return [Fraction(x, d) for x in scaled]
+
+
+def scaled_unit_scan(s: InversionSet, bound: int) -> tuple[int, list[int]]:
+    """(D, [D*u for u in unit_scan(s, bound)]) with D = prod(p**bound).
+
+    Each unit of the scan becomes the int D*u = ±prod(p**(bound + e)), so a
+    search can test units with int arithmetic and turn only its answer back
+    into Fractions, as Fraction(D*u, D).
     """
     order = [0]
     for e in range(1, bound + 1):
         order += (e, -e)
-    out: list[Fraction] = []
-    for exps in itertools.product(order, repeat=len(s)):
-        mag = _power_product(1, s.primes, exps)
+    powers = [[p ** (bound + e) for e in order] for p in s.primes]
+    out: list[int] = []
+    for factors in itertools.product(*powers):
+        mag = math.prod(factors)
         out.append(mag)
         out.append(-mag)
-    return out
+    return math.prod(p**bound for p in s.primes), out
 
 
 def is_member(q: Rational, s: InversionSet) -> bool:

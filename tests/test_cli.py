@@ -111,8 +111,8 @@ def test_unit_searches_refuse_before_building_units(monkeypatch):
     def no_scan(*args):
         raise AssertionError("units built before the ceiling check")
 
-    monkeypatch.setattr(cycles, "unit_scan", no_scan)
-    monkeypatch.setattr(lenstra, "unit_scan", no_scan)
+    monkeypatch.setattr(cycles, "scaled_unit_scan", no_scan)
+    monkeypatch.setattr(lenstra, "scaled_unit_scan", no_scan)
     for cmd in ("zieve", "lenstra --k 4"):
         argv = cmd.split() + ["--ring", "2,3,5", "--bound", "100", "--ceiling", "100"]
         assert dispatch(argv).exit_code == 3

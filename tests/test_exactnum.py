@@ -110,6 +110,8 @@ class TestFactorOver:
             primes = rng.sample((2, 3, 5, 7, 11, 13), rng.randrange(0, 4))
             n = rng.randrange(1, 10**9) * rng.choice((1, -1))
             assert cofactor_over(n, primes) == factor_over(n, primes)[1]
+        with pytest.raises(ValueError, match="cannot factor 0"):
+            cofactor_over(0, (2, 3))
 
 
 class TestRadical:

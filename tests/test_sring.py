@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from unitcycle.sring import (
     term_from_json,
     term_to_json,
     term_value,
+    scaled_unit_scan,
     unit_count,
     unit_scan,
 )
@@ -187,6 +189,9 @@ class TestUnitScan:
         assert units == fraction_power_scan(s, bound)
         assert all(type(u) is Fraction for u in units)
         assert len(units) == unit_count(s, bound) == 2 * (2 * bound + 1) ** len(primes)
+        d, scaled = scaled_unit_scan(s, bound)
+        assert d == math.prod(p**bound for p in primes)
+        assert scaled == [d * u for u in units] and all(type(x) is int for x in scaled)
 
     def test_order_starts_small(self):
         assert unit_scan(InversionSet.of(3), 1) == [1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3)]
