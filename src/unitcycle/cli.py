@@ -6,7 +6,9 @@ its reader.  `--json` swaps the human text for a JSON body
 that round-trips through the library parsers.
 
 `main` can be called repeatedly in one process: the argparse parser is
-built once and reused, and each call parses into a fresh namespace.
+built once and reused, and each call parses into a fresh namespace.  Only a
+caller that makes many requests in one process saves time by this; the
+console script makes one request per process.
 """
 
 from __future__ import annotations
