@@ -74,10 +74,14 @@ class AvoidanceCertificate:
 
     def verify(self) -> bool:
         """Independent re-check: regenerate the products, re-run every step."""
-        table = term_table(self.inversion_set, self.mode.bound)
+        # The certificate's own size bounds the work, not the search ceiling.
+        n = len(self.products)
+        if n != (self.mode.bound + 1) ** len(self.inversion_set):
+            return False
+        table = term_table(self.inversion_set, self.mode.bound, ceiling=n)
         if tuple(sorted(table)) != self.products:
             return False
-        if len(self.checks) != len(self.products) - 1:
+        if len(self.checks) != n - 1:
             return False
         for i, chk in enumerate(self.checks):
             if chk.lhs != 3 * self.products[i] or chk.rhs != self.products[i + 1]:
@@ -97,7 +101,7 @@ class AvoidanceCertificate:
     @classmethod
     def from_json_dict(cls, d: dict) -> "AvoidanceCertificate":
         return cls(
-            InversionSet(tuple(int(p) for p in d["inversion_set"])),
+            InversionSet(d["inversion_set"]),
             SearchConfig.parse(d["mode"]),
             tuple(int(v) for v in d["products"]),
             tuple(InequalityCheck.from_json_dict(c) for c in d["checks"]),

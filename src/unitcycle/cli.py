@@ -42,7 +42,7 @@ from .cycles import (
 from .lenstra import unit_difference_clique
 from .relsearch import Relation, SearchConfig, admits_4cycle, check_bb_inequality
 from .sring import InversionSet
-from .survey import emit_csv, emit_scatter_svg, survey_run
+from .survey import DEFAULT_SAMPLE_SEED, emit_csv, emit_scatter_svg, survey_run
 
 
 @dataclass
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="linear", help="linear | npower:N | general:B")
     p.add_argument("--full", action="store_true", help="force scans above the subset ceiling")
     p.add_argument("--sample", type=int, default=None, help="sample N random subsets instead")
-    p.add_argument("--seed", type=int, default=0x5EED, help="sampling seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED, help="sampling seed")
     p.add_argument("--csv", default=None, help="write rows to this CSV path")
     p.add_argument("--svg", default=None, help="write the scatter plot to this SVG path")
     p.set_defaults(func=cmd_survey)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .backends import SearchTooLarge, resolve_ceiling
-from .exactnum import cofactor_over, factor_over, smallest_prime_factor
+from .exactnum import cofactor_over, smallest_prime_factor
 from .sring import InversionSet, is_member, scaled_unit_scan, unit_count
 
 Rational = Union[int, Fraction]
@@ -34,10 +34,9 @@ class RingMembershipError(ValueError):
 
 
 def _require_member(q: Fraction, s: InversionSet, role: str) -> None:
-    if is_member(q, s):
-        return
-    _, cof = factor_over(q.denominator, s.primes)
-    raise RingMembershipError(q, smallest_prime_factor(cof), role)
+    cof = cofactor_over(q.denominator, s.primes)
+    if cof != 1:
+        raise RingMembershipError(q, smallest_prime_factor(cof), role)
 
 
 @dataclass(frozen=True)
@@ -113,9 +112,9 @@ class CycleWitness:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CycleWitness":
         return cls(
-            InversionSet(tuple(int(p) for p in d["inversion_set"])),
+            InversionSet(d["inversion_set"]),
             tuple(Fraction(x) for x in d["points"]),
-            RationalPolynomial(tuple(Fraction(c) for c in d["coefficients"])),
+            RationalPolynomial(d["coefficients"]),
         )
 
 

@@ -41,7 +41,7 @@ class CliqueWitness:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CliqueWitness":
         return cls(
-            InversionSet(tuple(int(p) for p in d["inversion_set"])),
+            InversionSet(d["inversion_set"]),
             tuple(Fraction(x) for x in d["elements"]),
         )
 
@@ -107,18 +107,15 @@ def z2_four_clique_obstruction(bound: int) -> bool:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    s2 = InversionSet((2,))
-    two = Fraction(2)
-    rng = range(-bound, bound + 1)
-    for k1 in rng:
-        a = two**k1
-        for k2 in rng:
-            b = two**k2
-            d13 = a + b
-            u13 = is_unit(d13, s2)
-            for k3 in rng:
-                c = two**k3
-                if u13 and is_unit(b + c, s2) and is_unit(a + b + c, s2):
+    # With D = 2**bound, each 2**k is the int 2**(k + bound); a sum of them
+    # is a unit iff its odd part is 1.
+    powers = [2**e for e in range(2 * bound + 1)]
+    for a in powers:
+        for b in powers:
+            if cofactor_over(a + b, (2,)) != 1:
+                continue
+            for c in powers:
+                if cofactor_over(b + c, (2,)) == 1 and cofactor_over(a + b + c, (2,)) == 1:
                     return False
     return True
 

@@ -188,7 +188,7 @@ class Relation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Relation":
-        s = InversionSet(tuple(int(p) for p in d["inversion_set"]))
+        s = InversionSet(d["inversion_set"])
         terms = tuple(term_from_json(t) for t in d["terms"])
         values = tuple(int(term_value(t, s)) for t in terms)
         return cls(s, terms, values)

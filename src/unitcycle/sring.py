@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .exactnum import factor_over, is_probable_prime
+from .exactnum import cofactor_over, is_probable_prime
 
 Rational = Union[int, Fraction]
 
@@ -82,12 +82,8 @@ def term_value(t: UnitTerm, s: InversionSet) -> Fraction:
     """
     if len(t.exponents) != len(s):
         raise ValueError("exponent vector length does not match inversion set")
-    return _power_product(t.sign, s.primes, t.exponents)
-
-
-def _power_product(sign: int, primes: tuple[int, ...], exponents: tuple[int, ...]) -> Fraction:
-    num, den = sign, 1
-    for p, e in zip(primes, exponents):
+    num, den = t.sign, 1
+    for p, e in zip(s.primes, t.exponents):
         if e >= 0:
             num *= p**e
         else:
@@ -96,27 +92,19 @@ def _power_product(sign: int, primes: tuple[int, ...], exponents: tuple[int, ...
 
 
 def unit_count(s: InversionSet, bound: int) -> int:
-    """len(unit_scan(s, bound)), known before any unit is built."""
+    """len(scaled_unit_scan(s, bound)[1]), known before any unit is built."""
     return 2 * (2 * bound + 1) ** len(s)
 
 
-def unit_scan(s: InversionSet, bound: int) -> list[Fraction]:
-    """Signed units with exponents in [-bound, bound], in one fixed scan order.
-
-    Exponents widen 0, 1, -1, 2, -2, ... so small units surface first; the
-    exponent vectors run lexicographically in that order and each magnitude
-    comes before its negative.  The order is defined once, by scaled_unit_scan.
-    """
-    d, scaled = scaled_unit_scan(s, bound)
-    return [Fraction(x, d) for x in scaled]
-
-
 def scaled_unit_scan(s: InversionSet, bound: int) -> tuple[int, list[int]]:
-    """(D, [D*u for u in unit_scan(s, bound)]) with D = prod(p**bound).
+    """(D, [D*u for u in the signed units with exponents in [-bound, bound]]).
 
-    Each unit of the scan becomes the int D*u = ±prod(p**(bound + e)), so a
-    search can test units with int arithmetic and turn only its answer back
-    into Fractions, as Fraction(D*u, D).
+    With D = prod(p**bound), each unit becomes the int D*u =
+    ±prod(p**(bound + e)), so a search can test units with int arithmetic
+    and turn only its answer back into Fractions, as Fraction(D*u, D).
+    This defines the one scan order: exponents widen 0, 1, -1, 2, -2, ...
+    so small units surface first; the exponent vectors run lexicographically
+    in that order and each magnitude comes before its negative.
     """
     order = [0]
     for e in range(1, bound + 1):
@@ -132,11 +120,7 @@ def scaled_unit_scan(s: InversionSet, bound: int) -> tuple[int, list[int]]:
 
 def is_member(q: Rational, s: InversionSet) -> bool:
     """True iff q lies in Z[1/p : p in s], i.e. its reduced denominator is s-smooth."""
-    q = Fraction(q)
-    if q == 0:
-        return True
-    _, cof = factor_over(q.denominator, s.primes)
-    return cof == 1
+    return cofactor_over(Fraction(q).denominator, s.primes) == 1
 
 
 def is_unit(q: Rational, s: InversionSet) -> bool:
@@ -144,9 +128,10 @@ def is_unit(q: Rational, s: InversionSet) -> bool:
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 is not a candidate unit")
-    _, cn = factor_over(q.numerator, s.primes)
-    _, cd = factor_over(q.denominator, s.primes)
-    return cn == 1 and cd == 1
+    return (
+        cofactor_over(q.numerator, s.primes) == 1
+        and cofactor_over(q.denominator, s.primes) == 1
+    )
 
 
 def are_associates(a: Rational, b: Rational, s: InversionSet) -> bool:

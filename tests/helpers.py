@@ -214,3 +214,21 @@ def clique_oracle(primes, k: int, bound: int) -> tuple[Fraction, ...] | None:
         return None
 
     return extend([Fraction(0), Fraction(1)], 0)
+
+
+def is_member_oracle(q: Fraction, primes) -> bool:
+    """q lies in Z[1/p : p in primes] iff every prime factor of its reduced
+    denominator, found by trial division, is one of the primes."""
+    return set(trial_factor(q.denominator)) <= set(primes)
+
+
+def z2_obstruction_oracle(bound: int) -> bool:
+    """The Z[1/2] four-clique scan in Fraction arithmetic: True iff no
+    exponent triple in [-bound, bound] makes 2^k1 + 2^k2, 2^k2 + 2^k3 and
+    2^k1 + 2^k2 + 2^k3 all units."""
+    rng = range(-bound, bound + 1)
+    for k1, k2, k3 in itertools.product(rng, repeat=3):
+        a, b, c = (Fraction(2) ** k for k in (k1, k2, k3))
+        if all(is_unit_oracle(x, (2,)) for x in (a + b, b + c, a + b + c)):
+            return False
+    return True

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import quadruples_by_enumeration, trial_is_prime
+from unitcycle import backends
 from unitcycle.avoidance import (
     AbcPairReport,
     AvoidanceCertificate,
@@ -61,6 +62,19 @@ class TestSeparationCertificate:
         assert not bad.verify()
         bad = dataclasses.replace(cert, checks=cert.checks[:-1])
         assert not bad.verify()
+
+    @pytest.mark.parametrize("env", ["3", "abc", None])
+    def test_verify_ignores_search_ceiling(self, monkeypatch, env):
+        cert = separation_certificate(InversionSet.of(5, 17, 257), SearchConfig.linear())
+        if env is None:
+            monkeypatch.delenv(backends.CEILING_ENV, raising=False)
+        else:
+            monkeypatch.setenv(backends.CEILING_ENV, env)
+        assert cert.verify() is True
+        assert dataclasses.replace(cert, products=cert.products[:-1]).verify() is False
+        # A claimed mode far larger than the product list fails on its size.
+        huge = dataclasses.replace(cert, mode=SearchConfig.general(1000))
+        assert huge.verify() is False
 
     def test_json_round_trip(self):
         cert = separation_certificate(InversionSet.of(5, 79), SearchConfig.npower(2))

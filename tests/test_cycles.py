@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import zieve_oracle
+from helpers import trial_factor, zieve_oracle
 from unitcycle.backends import SearchTooLarge
 from unitcycle.cycles import (
     CycleWitness,
@@ -80,6 +80,24 @@ class TestLagrange:
             lagrange_cycle_poly((1, 2, 3, 4), InversionSet.of(2))
         assert e.value.bad_prime == 3
         assert "coefficient" in e.value.role
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        primes=st.lists(st.sampled_from((2, 3, 5, 7, 11)), unique=True, max_size=3),
+        num=st.integers(-10**4, 10**4),
+        den=st.integers(1, 10**4),
+    )
+    def test_bad_prime_is_smallest_outside_ring(self, primes, num, den):
+        # Four points sharing one denominator: the first point is refused
+        # exactly when that denominator has a prime factor outside the ring.
+        x = F(num, den)
+        outside = [p for p in trial_factor(x.denominator) if p not in primes]
+        if not outside:
+            return
+        with pytest.raises(RingMembershipError) as e:
+            lagrange_cycle_poly((x, x + 1, x + 2, x + 3), InversionSet.of(*primes))
+        assert e.value.bad_prime == min(outside)
+        assert e.value.role == "point" and e.value.value == x
 
     def test_witness_json_round_trip(self):
         w = lagrange_cycle_poly((-10, -3, -4, -9), InversionSet.of(5, 7))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import clique_oracle, trial_factor
+from helpers import clique_oracle, is_unit_oracle, trial_factor, z2_obstruction_oracle
+from unitcycle import lenstra
 from unitcycle.backends import SearchTooLarge
+from unitcycle.exactnum import cofactor_over
 from unitcycle.lenstra import (
     CliqueWitness,
     is_b_smooth,
@@ -112,6 +114,26 @@ class TestZ2Obstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
             z2_four_clique_obstruction(-1)
+
+    @pytest.mark.parametrize("bound", range(7))
+    def test_matches_fraction_oracle(self, bound):
+        assert z2_four_clique_obstruction(bound) is z2_obstruction_oracle(bound)
+
+    def test_tests_units_of_z2(self, monkeypatch):
+        # The answer is True at every bound, so also check each unit test it
+        # makes: every sum is judged as the Fraction oracle judges Z[1/2].
+        seen = []
+
+        def spy(n, primes):
+            cof = cofactor_over(n, primes)
+            seen.append((n, cof == 1))
+            return cof
+
+        monkeypatch.setattr(lenstra, "cofactor_over", spy)
+        assert z2_four_clique_obstruction(3) is True
+        powers = [2**e for e in range(7)]
+        assert {n for n, _ in seen} >= {a + b for a in powers for b in powers}
+        assert all(unit is is_unit_oracle(F(n, 8), (2,)) for n, unit in seen)
 
     def test_agrees_with_direct_search(self):
         # two independent procedures, one conclusion

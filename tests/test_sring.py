@@ -1,11 +1,16 @@
-import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unitcycle.relsearch import Relation
+from helpers import is_member_oracle, is_unit_oracle, unit_scan_oracle
+from unitcycle.avoidance import AvoidanceCertificate, separation_certificate
+from unitcycle.cycles import CycleWitness, lagrange_cycle_poly
+from unitcycle.lenstra import CliqueWitness
+from unitcycle.relsearch import Relation, SearchConfig
 from unitcycle.sring import (
     InversionSet,
     UnitTerm,
@@ -17,7 +22,6 @@ from unitcycle.sring import (
     term_value,
     scaled_unit_scan,
     unit_count,
-    unit_scan,
 )
 
 
@@ -162,22 +166,6 @@ class TestTermValue:
             Relation(s, wrong, rel.values)
 
 
-def fraction_power_scan(s: InversionSet, bound: int) -> list[Fraction]:
-    """Reference scan: Fraction prime powers over exponents 0, 1, -1, ..."""
-    order = [0]
-    for e in range(1, bound + 1):
-        order.append(e)
-        order.append(-e)
-    out = []
-    for exps in itertools.product(order, repeat=len(s)):
-        mag = Fraction(1)
-        for p, e in zip(s.primes, exps):
-            mag *= Fraction(p) ** e
-        out.append(mag)
-        out.append(-mag)
-    return out
-
-
 class TestUnitScan:
     @pytest.mark.parametrize(
         "primes,bound",
@@ -185,13 +173,69 @@ class TestUnitScan:
     )
     def test_matches_fraction_power_scan(self, primes, bound):
         s = InversionSet(primes)
-        units = unit_scan(s, bound)
-        assert units == fraction_power_scan(s, bound)
+        d, scaled = scaled_unit_scan(s, bound)
+        units = [Fraction(x, d) for x in scaled]
+        assert units == unit_scan_oracle(primes, bound)
         assert all(type(u) is Fraction for u in units)
         assert len(units) == unit_count(s, bound) == 2 * (2 * bound + 1) ** len(primes)
-        d, scaled = scaled_unit_scan(s, bound)
         assert d == math.prod(p**bound for p in primes)
         assert scaled == [d * u for u in units] and all(type(x) is int for x in scaled)
 
     def test_order_starts_small(self):
-        assert unit_scan(InversionSet.of(3), 1) == [1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3)]
+        d, scaled = scaled_unit_scan(InversionSet.of(3), 1)
+        units = [Fraction(x, d) for x in scaled]
+        assert units == [1, -1, 3, -3, Fraction(1, 3), Fraction(-1, 3)]
+
+
+# Rationals over the first six primes; the ring takes some of them, so the
+# numerator and the denominator mix primes in S with primes outside it.
+POOL = (2, 3, 5, 7, 11, 13)
+rings = st.lists(st.sampled_from(POOL), unique=True, max_size=4).map(lambda ps: tuple(sorted(ps)))
+smooth = st.lists(st.tuples(st.sampled_from(POOL), st.integers(0, 3)), max_size=4).map(
+    lambda pes: math.prod(p**e for p, e in pes)
+)
+nonzero = st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from((1, -1)), smooth, smooth)
+rationals = st.one_of(st.just(Fraction(0)), nonzero)
+
+
+class TestPredicatesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(primes=rings, q=rationals)
+    def test_is_member(self, primes, q):
+        assert is_member(q, InversionSet(primes)) is is_member_oracle(q, primes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(primes=rings, q=nonzero)
+    def test_is_unit(self, primes, q):
+        assert is_unit(q, InversionSet(primes)) is is_unit_oracle(q, primes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(primes=rings, a=nonzero, b=nonzero)
+    def test_are_associates(self, primes, a, b):
+        assert are_associates(a, b, InversionSet(primes)) is is_unit_oracle(a / b, primes)
+
+
+class TestJsonBoundary:
+    """from_json_dict hands raw JSON to the constructors, which coerce it once."""
+
+    WITNESSES = [
+        Relation.from_signed_values(InversionSet.of(2, 3), (1, 1, 1, -3)),
+        lagrange_cycle_poly((-10, -3, -4, -9), InversionSet.of(5, 7)),
+        CliqueWitness(InversionSet.of(2), (Fraction(0), Fraction(1), Fraction(-1))),
+        separation_certificate(InversionSet.of(5, 17, 257), SearchConfig.linear()),
+    ]
+
+    @pytest.mark.parametrize("w", WITNESSES, ids=lambda w: type(w).__name__)
+    def test_string_primes_round_trip(self, w):
+        d = w.to_json_dict()
+        d["inversion_set"] = [str(p) for p in d["inversion_set"]]
+        # Coefficients, points and elements are written as strings already.
+        assert all(type(c) is str for c in d.get("coefficients", ()))
+        assert type(w).from_json_dict(d) == w
+
+    @pytest.mark.parametrize("w", WITNESSES, ids=lambda w: type(w).__name__)
+    def test_non_list_inversion_set(self, w):
+        d = w.to_json_dict()
+        d["inversion_set"] = 5
+        with pytest.raises(TypeError, match="'int' object is not iterable"):
+            type(w).from_json_dict(d)
