@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .exactnum import is_probable_prime, next_prime
 from .relsearch import SearchConfig, term_table
-from .sring import InversionSet
+from .sring import InversionSet, json_array
 
 Rational = Union[int, Fraction]
 
@@ -30,10 +30,12 @@ class InequalityCheck:
     relation: str  # "<" or ">"
     passed: bool
 
+    def __post_init__(self) -> None:
+        if self.relation not in ("<", ">"):
+            raise ValueError(f"unsupported relation {self.relation!r}")
+
     @classmethod
     def of(cls, name: str, lhs: int, relation: str, rhs: int) -> "InequalityCheck":
-        if relation not in ("<", ">"):
-            raise ValueError(f"unsupported relation {relation!r}")
         passed = lhs < rhs if relation == "<" else lhs > rhs
         return cls(name, lhs, rhs, relation, passed)
 
@@ -53,7 +55,10 @@ class InequalityCheck:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "InequalityCheck":
-        return cls(d["name"], int(d["lhs"]), int(d["rhs"]), d["relation"], bool(d["pass"]))
+        passed = d["pass"]
+        if not isinstance(passed, bool):
+            raise TypeError(f"pass must be a JSON bool, got {type(passed).__name__}")
+        return cls(d["name"], int(d["lhs"]), int(d["rhs"]), d["relation"], passed)
 
 
 class SeparationCounterexample(NamedTuple):
@@ -73,22 +78,11 @@ class AvoidanceCertificate:
     checks: tuple[InequalityCheck, ...]
 
     def verify(self) -> bool:
-        """Independent re-check: regenerate the products, re-run every step."""
-        # The certificate's own size bounds the work, not the search ceiling.
-        n = len(self.products)
+        """Rebuild the certificate from its ring and mode; compare the whole record."""
+        n = len(self.products)  # the certificate's size, not the search ceiling, bounds the work
         if n != (self.mode.bound + 1) ** len(self.inversion_set):
             return False
-        table = term_table(self.inversion_set, self.mode.bound, ceiling=n)
-        if tuple(sorted(table)) != self.products:
-            return False
-        if len(self.checks) != n - 1:
-            return False
-        for i, chk in enumerate(self.checks):
-            if chk.lhs != 3 * self.products[i] or chk.rhs != self.products[i + 1]:
-                return False
-            if chk.relation != "<" or not chk.verify() or not chk.passed:
-                return False
-        return True
+        return separation_certificate(self.inversion_set, self.mode, ceiling=n) == self
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,10 +95,10 @@ class AvoidanceCertificate:
     @classmethod
     def from_json_dict(cls, d: dict) -> "AvoidanceCertificate":
         return cls(
-            InversionSet(d["inversion_set"]),
+            InversionSet(json_array(d, "inversion_set")),
             SearchConfig.parse(d["mode"]),
-            tuple(int(v) for v in d["products"]),
-            tuple(InequalityCheck.from_json_dict(c) for c in d["checks"]),
+            tuple(int(v) for v in json_array(d, "products")),
+            tuple(InequalityCheck.from_json_dict(c) for c in json_array(d, "checks")),
         )
 
 
@@ -231,15 +225,16 @@ class AbcPairReport:
         return all(c.passed for c in self.checks)
 
     def verify(self) -> bool:
-        """Re-verify every stored inequality and re-derive the window bounds."""
-        if not all(c.verify() for c in self.checks):
+        """Rebuild the report from C, m and the seed p1 - 1; compare the whole record."""
+        # The report's 3m checks bound m; the window must follow from p1, p2, m alone.
+        if len(self.checks) != 3 * self.m or not (
+            self.p2 > 3 * self.p1 and (3 * self.p2) ** self.m < self.p1 ** (self.m + 1)
+        ):
             return False
-        # The window containment must follow from p1, p2, m alone.
-        if not self.p2 > 3 * self.p1:
+        try:
+            return abc_pair(self.c, self.m, self.p1 - 1) == self
+        except ValueError:  # a precondition of abc_pair fails
             return False
-        if not (3 * self.p2) ** self.m < self.p1 ** (self.m + 1):
-            return False
-        return True
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,7 +253,7 @@ class AbcPairReport:
             int(d["m"]),
             int(d["p1"]),
             int(d["p2"]),
-            tuple(InequalityCheck.from_json_dict(c) for c in d["checks"]),
+            tuple(InequalityCheck.from_json_dict(c) for c in json_array(d, "checks")),
         )
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .backends import SearchTooLarge, resolve_ceiling
 from .exactnum import cofactor_over, smallest_prime_factor
-from .sring import InversionSet, is_member, scaled_unit_scan, unit_count
+from .sring import InversionSet, is_member, json_array, scaled_unit_scan, unit_count
 
 Rational = Union[int, Fraction]
 
@@ -112,9 +112,9 @@ class CycleWitness:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CycleWitness":
         return cls(
-            InversionSet(d["inversion_set"]),
-            tuple(Fraction(x) for x in d["points"]),
-            RationalPolynomial(d["coefficients"]),
+            InversionSet(json_array(d, "inversion_set")),
+            tuple(Fraction(x) for x in json_array(d, "points")),
+            RationalPolynomial(json_array(d, "coefficients")),
         )
 
 

@@ -137,9 +137,11 @@ def radical(values: Sequence[int], primes: Sequence[int]) -> int:
 
 
 def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of n >= 2, by trial division."""
+    """Smallest prime factor of n >= 2: n itself when n is prime, else by trial division."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if is_probable_prime(n):
+        return n
     if n % 2 == 0:
         return 2
     d = 3

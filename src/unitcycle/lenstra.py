@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .backends import SearchTooLarge, resolve_ceiling
 from .exactnum import cofactor_over
-from .sring import InversionSet, is_unit, scaled_unit_scan, unit_count
+from .sring import InversionSet, is_unit, json_array, scaled_unit_scan, unit_count
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class CliqueWitness:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CliqueWitness":
         return cls(
-            InversionSet(d["inversion_set"]),
-            tuple(Fraction(x) for x in d["elements"]),
+            InversionSet(json_array(d, "inversion_set")),
+            tuple(Fraction(x) for x in json_array(d, "elements")),
         )
 
 

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 from .backends import CEILING_ENV  # noqa: F401  (read as relsearch.CEILING_ENV)
 from .backends import SearchTooLarge, resolve_ceiling, zero_quadruples
 from .exactnum import factor_over, is_probable_prime, radical
-from .sring import InversionSet, UnitTerm, term_from_json, term_to_json, term_value
+from .sring import InversionSet, UnitTerm, json_array, term_from_json, term_to_json, term_value
 
 Rational = Union[int, Fraction]
 
@@ -188,8 +188,8 @@ class Relation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Relation":
-        s = InversionSet(d["inversion_set"])
-        terms = tuple(term_from_json(t) for t in d["terms"])
+        s = InversionSet(json_array(d, "inversion_set"))
+        terms = tuple(term_from_json(t) for t in json_array(d, "terms"))
         values = tuple(int(term_value(t, s)) for t in terms)
         return cls(s, terms, values)
 

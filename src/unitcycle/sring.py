@@ -152,5 +152,13 @@ def term_to_json(t: UnitTerm, s: InversionSet) -> dict:
     }
 
 
+def json_array(d: dict, key: str) -> list:
+    """d[key], refused unless it is a JSON array (a string would be read char by char)."""
+    value = d[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def term_from_json(d: dict) -> UnitTerm:
-    return UnitTerm(int(d["sign"]), tuple(int(e) for e in d["exponents"]))
+    return UnitTerm(int(d["sign"]), tuple(int(e) for e in json_array(d, "exponents")))

@@ -41,6 +41,20 @@ class TestInequalityCheck:
         chk = InequalityCheck.of("big", 3**50, "<", 5**50)
         assert InequalityCheck.from_json_dict(chk.to_json_dict()) == chk
 
+    def test_json_refuses_unknown_relation(self):
+        d = {"name": "a", "lhs": "3", "rhs": "5", "relation": "<=", "pass": False}
+        with pytest.raises(ValueError, match="unsupported relation '<='"):
+            InequalityCheck.from_json_dict(d)
+        with pytest.raises(ValueError, match="unsupported relation '<='"):
+            InequalityCheck("a", 3, 5, "<=", False)
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_json_pass_must_be_a_bool(self, flag):
+        d = InequalityCheck.of("a", 5, "<", 3).to_json_dict()
+        d["pass"] = flag
+        with pytest.raises(TypeError, match="pass must be a JSON bool"):
+            InequalityCheck.from_json_dict(d)
+
 
 class TestSeparationCertificate:
     def test_certified_example(self):
@@ -62,6 +76,24 @@ class TestSeparationCertificate:
         assert not bad.verify()
         bad = dataclasses.replace(cert, checks=cert.checks[:-1])
         assert not bad.verify()
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda c: dataclasses.replace(c, lhs=c.lhs + 3),
+            lambda c: dataclasses.replace(c, rhs=c.rhs + 1),
+            lambda c: dataclasses.replace(c, relation=">", passed=False),
+            lambda c: dataclasses.replace(c, passed=False),
+            lambda c: dataclasses.replace(c, name="step_0"),
+        ],
+        ids=["operand", "successor", "relation", "pass", "name"],
+    )
+    def test_verify_rejects_a_forged_step(self, forge):
+        cert = separation_certificate(InversionSet.of(5, 17, 257), SearchConfig.linear())
+        for i in (0, len(cert.checks) - 1):
+            checks = list(cert.checks)
+            checks[i] = forge(checks[i])
+            assert dataclasses.replace(cert, checks=tuple(checks)).verify() is False
 
     @pytest.mark.parametrize("env", ["3", "abc", None])
     def test_verify_ignores_search_ceiling(self, monkeypatch, env):
@@ -151,6 +183,10 @@ class TestOrderingHypothesis:
         rep = abc_pair(1, 9)
         assert verify_ordering_conclusion(rep.p1, rep.p2, 9, [(2, 5)]) is True
 
+    def test_conclusion_repeated_pair(self):
+        rep = abc_pair(1, 9)
+        assert verify_ordering_conclusion(rep.p1, rep.p2, 9, [(1, 2), (1, 2)]) is True
+
     def test_conclusion_range_check(self):
         rep = abc_pair(1, 9)
         with pytest.raises(ValueError):
@@ -214,6 +250,45 @@ class TestAbcPair:
     def test_verify_catches_tampering(self):
         rep = abc_pair(1, 9)
         assert not dataclasses.replace(rep, p2=rep.p1 + 2).verify()
+
+    @pytest.mark.parametrize(
+        "rep",
+        [abc_pair(1, 9), abc_pair(1, 9, seed=10**12), abc_pair(Fraction(22, 7), 9), abc_pair(1, 10)],
+        ids=["reference", "seed", "fractional_c", "m10"],
+    )
+    def test_verify_accepts_every_producer_output(self, rep):
+        assert rep.verify() is True
+        assert AbcPairReport.from_json_dict(rep.to_json_dict()).verify() is True
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda r: dataclasses.replace(r, checks=()),
+            lambda r: dataclasses.replace(
+                r, checks=tuple(InequalityCheck.of(c.name, 1, "<", 2) for c in r.checks)
+            ),
+            lambda r: dataclasses.replace(r, p2=r.p2 + 1),
+            lambda r: dataclasses.replace(r, c=Fraction(10**30)),
+            lambda r: dataclasses.replace(r, m=8),
+            lambda r: dataclasses.replace(r, p1=0),
+            lambda r: dataclasses.replace(
+                r, checks=(dataclasses.replace(r.checks[0], name="window"),) + r.checks[1:]
+            ),
+        ],
+        ids=["no_checks", "one_lt_two", "even_p2", "huge_c", "m8", "p1_zero", "renamed"],
+    )
+    def test_verify_rejects_forgeries(self, forge):
+        assert forge(abc_pair(1, 9)).verify() is False
+
+    def test_verify_refuses_abc_pair_preconditions(self):
+        # 3m checks and a window that holds, but C = 3^m breaks abc_pair's precondition.
+        rep = abc_pair(1, 9)
+        assert dataclasses.replace(rep, c=Fraction(3**9)).verify() is False
+
+    def test_verify_size_bounds_m(self):
+        # A claimed m far beyond the 27 recorded checks fails before any power is taken.
+        rep = abc_pair(1, 9)
+        assert dataclasses.replace(rep, m=10**12).verify() is False
 
     def test_sampled_three_separation(self):
         # checks (a) + (d) force 3s < t for any s < t drawn from the

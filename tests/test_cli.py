@@ -35,6 +35,9 @@ EXIT_MATRIX = [
     (["interpolate", "1,2,3,4", "--ring", "3"], 0, "-2/3x^3 + 4x^2 - 19/3x + 5"),
     (["interpolate", "1,2,3,4", "--ring", "2"], 1, "leaves the ring"),
     (["interpolate", "1,2,2,4", "--ring", "3"], 2, "distinct"),
+    (["interpolate", "1,2,3", "--ring", "3"], 2, "expected 4 comma-separated values, got 3"),
+    (["interpolate", "--ring", "3"], 2, "four cycle points are required"),
+    (["interpolate", "1/1000000000000000009,2,3,4", "--ring", "3"], 1, "prime factor 1000000000000000009"),
     (["verify-cycle", "--poly", H_POLY, "--points", H_POINTS, "--ring", "5,11"], 0, "cycle verified"),
     (["verify-cycle", "--poly", H_POLY, "--points", "1,2,3,4", "--ring", "5,11"], 1, "not a 4-cycle"),
     (["orbit", "--poly", "5,-19/3,4,-2/3", "--start", "1", "--max", "10"], 0, "preperiod 0, period 4"),
@@ -50,6 +53,11 @@ EXIT_MATRIX = [
     (["bb-check", "--relation", REL_3_JSON, "--C", "1", "--eps", "1"], 0, "holds"),
     (["bb-check", "--relation", REL_3_JSON, "--C", "1/28", "--eps", "0"], 1, "fails"),
     (["bb-check", "--relation", "not json", "--C", "1", "--eps", "0"], 2, "malformed"),
+    (
+        ["bb-check", "--relation", REL_3_JSON.replace("[3]", '"3"'), "--C", "1", "--eps", "0"],
+        2,
+        "malformed relation JSON: inversion_set must be a JSON array, got str",
+    ),
     (["lenstra", "--ring", "2", "--k", "3", "--bound", "4"], 0, "clique of size 3"),
     (["lenstra", "--ring", "2", "--k", "4", "--bound", "20"], 1, "no clique of size 4"),
     (["survey", "--pool", "6", "--size", "5"], 0, "6 subsets"),
@@ -177,6 +185,14 @@ class TestJsonPayloads:
         res = dispatch(["abc-pair", "--C", "1", "--m", "9", "--json"])
         rep = AbcPairReport.from_json_dict(res.payload)
         assert rep.all_pass and rep.verify()
+
+    def test_interpolate_large_bad_prime(self):
+        big = 1000000000000000009
+        res = dispatch(["interpolate", f"1/{big},2,3,4", "--ring", "3", "--json"])
+        assert res.exit_code == 1
+        assert res.payload["in_ring"] is False
+        assert res.payload["bad_prime"] == big
+        assert res.payload["offending_value"] == f"1/{big}"
 
     def test_verify_cycle_reports_differences(self):
         res = dispatch(

@@ -103,6 +103,11 @@ class TestLagrange:
         w = lagrange_cycle_poly((-10, -3, -4, -9), InversionSet.of(5, 7))
         assert CycleWitness.from_json_dict(w.to_json_dict()) == w
 
+    @pytest.mark.parametrize("points", [(1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_needs_four_points(self, points):
+        with pytest.raises(ValueError, match="exactly four points required"):
+            lagrange_cycle_poly(points, InversionSet.of(3))
+
 
 class TestVerifyCycle:
     def test_golden_cycles_verify(self):
@@ -148,6 +153,12 @@ class TestVerifyCycle:
             RationalPolynomial((5, F(-19, 3), 4, F(-2, 3))),
         )
         assert verify_cycle(w).reason == "coefficient_not_in_ring"
+
+    @pytest.mark.parametrize("points", [(F(1), F(2), F(3)), (F(1), F(2), F(3), F(4), F(5))])
+    def test_needs_four_points(self, points):
+        w = CycleWitness(InversionSet.of(3), points, RationalPolynomial((0, 1)))
+        with pytest.raises(ValueError, match="a 4-cycle witness needs exactly four points"):
+            verify_cycle(w)
 
 
 class TestOrbit:
@@ -280,6 +291,11 @@ class TestRelationFromCycle:
     def test_repeated_point(self):
         with pytest.raises(ValueError):
             relation_from_cycle((0, 1, 0, 2))
+
+    @pytest.mark.parametrize("points", [(1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_needs_four_points(self, points):
+        with pytest.raises(ValueError, match="exactly four points required"):
+            relation_from_cycle(points)
 
     def test_sums_to_zero(self):
         assert sum(relation_from_cycle((F(1, 3), 5, -2, 7))) == 0

@@ -135,3 +135,9 @@ def test_smallest_prime_factor():
     assert smallest_prime_factor(2**31 - 1) == 2**31 - 1
     with pytest.raises(ValueError):
         smallest_prime_factor(1)
+
+
+def test_smallest_prime_factor_of_a_large_prime():
+    # Trial division up to the square root would take about 5 * 10^14 steps.
+    p = next_prime(10**30)
+    assert smallest_prime_factor(p) == p

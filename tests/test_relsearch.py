@@ -523,6 +523,15 @@ class TestDoubletonFamilies:
         with pytest.raises(ValueError):
             doubleton_family(13, TWO_P_PLUS_1)  # 27 is composite
 
+    def test_p_not_prime(self):
+        with pytest.raises(ValueError, match="9 is not prime"):
+            doubleton_family(9, TWIN)
+
+    def test_pn_minus_2_degenerate_at_two(self):
+        # 2^2 - 2 = 2 is prime but equals p.
+        with pytest.raises(ValueError, match="family pn_minus_2 degenerates at p=2"):
+            doubleton_family(2, PN_MINUS_2, n=2)
+
     def test_pn_minus_2_needs_power(self):
         with pytest.raises(ValueError):
             doubleton_family(5, PN_MINUS_2)

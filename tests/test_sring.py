@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import is_member_oracle, is_unit_oracle, unit_scan_oracle
-from unitcycle.avoidance import AvoidanceCertificate, separation_certificate
+from unitcycle.avoidance import AvoidanceCertificate, abc_pair, separation_certificate
 from unitcycle.cycles import CycleWitness, lagrange_cycle_poly
 from unitcycle.lenstra import CliqueWitness
 from unitcycle.relsearch import Relation, SearchConfig
@@ -237,5 +237,43 @@ class TestJsonBoundary:
     def test_non_list_inversion_set(self, w):
         d = w.to_json_dict()
         d["inversion_set"] = 5
-        with pytest.raises(TypeError, match="'int' object is not iterable"):
+        with pytest.raises(TypeError, match="inversion_set must be a JSON array, got int"):
             type(w).from_json_dict(d)
+
+    ARRAY_FIELDS = [(w, "inversion_set") for w in WITNESSES] + [
+        (WITNESSES[0], "terms"),
+        (WITNESSES[1], "points"),
+        (WITNESSES[1], "coefficients"),
+        (WITNESSES[2], "elements"),
+        (WITNESSES[3], "products"),
+        (WITNESSES[3], "checks"),
+        (abc_pair(1, 9), "checks"),
+    ]
+
+    @pytest.mark.parametrize(
+        "w,field", ARRAY_FIELDS, ids=[f"{type(w).__name__}-{f}" for w, f in ARRAY_FIELDS]
+    )
+    def test_string_array_field_refused(self, w, field):
+        # A JSON string is iterable, so it would otherwise be read char by char.
+        d = w.to_json_dict()
+        d[field] = "".join(str(x) for x in d[field])
+        with pytest.raises(TypeError, match=f"{field} must be a JSON array, got str"):
+            type(w).from_json_dict(d)
+
+    def test_string_exponents_refused(self):
+        d = self.WITNESSES[0].to_json_dict()
+        d["terms"][0]["exponents"] = "10"
+        with pytest.raises(TypeError, match="exponents must be a JSON array, got str"):
+            Relation.from_json_dict(d)
+        with pytest.raises(TypeError, match="exponents must be a JSON array, got str"):
+            term_from_json({"sign": 1, "exponents": "10"})
+
+    def test_string_points_cycle_refused(self):
+        # Read char by char, "1234" would give the points 1, 2, 3, 4 of a real cycle.
+        d = lagrange_cycle_poly((1, 2, 3, 4), InversionSet.of(3)).to_json_dict()
+        d.update(inversion_set="3", points="1234")
+        with pytest.raises(TypeError, match="inversion_set must be a JSON array, got str"):
+            CycleWitness.from_json_dict(d)
+        d["inversion_set"] = [3]
+        with pytest.raises(TypeError, match="points must be a JSON array, got str"):
+            CycleWitness.from_json_dict(d)
