@@ -22,10 +22,10 @@ quadruple exactly once.
 Two interchangeable engines:
 
   * numpy  - vectorized int64 kernel (default), for terms of any size.  Terms
-             up to INT64_VALUE_LIMIT are joined on their exact values; larger
-             ones on their residues mod RESIDUE_PRIME.  A vanishing sum
-             vanishes mod every prime, so the residue join loses no hit, and
-             an exact big-int sum of each hit drops the false positives.
+             are joined on their residues mod RESIDUE_PRIME, which equal
+             their values below it.  A vanishing sum vanishes mod every
+             prime, so the residue join loses no hit, and an exact sum of
+             each hit drops the false positives.
   * python - pure-Python hash join on unbounded integers, the reference.
 
 Selection: environment variable UNITCYCLE_BACKEND = numpy | python
@@ -47,8 +47,8 @@ import numpy as np
 
 BACKEND_ENV = "UNITCYCLE_BACKEND"
 
-# Pair sums of two values up to this limit stay inside int64, so the numpy
-# engine joins on exact values; above it, on residues mod RESIDUE_PRIME.
+# Pair sums of two values up to this limit stay inside int64.  The package no
+# longer reads it; perfbench and the tests import it to sort sets by size.
 INT64_VALUE_LIMIT = 2**61
 
 # A prime below 2^62, so residues and their pair sums stay in int64.  It is a
@@ -123,18 +123,17 @@ def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]
     for s, prefixes in buckets.items():
         if s == 0:
             continue
-        suffixes = buckets.get(-s)
-        if not suffixes:
-            continue
+        # W is closed under negation, so the bucket of -s exists with that of s.
+        suffixes = buckets[-s]
         for i, j in prefixes:
             if w[i] <= 0:
                 continue
             for k, l in suffixes:
                 if j > k:
                     continue
+                # The total is 0, so w[j] + w[k] == 0 or w[j] + w[l] == 0
+                # would force w[i] + w[l] == 0 or w[i] + w[k] == 0.
                 if w[i] + w[k] == 0 or w[i] + w[l] == 0:
-                    continue
-                if w[j] + w[k] == 0 or w[j] + w[l] == 0:
                     continue
                 out.append((w[i], w[j], w[k], w[l]))
     out.sort()
@@ -178,16 +177,13 @@ def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     n = len(w) // 2
     if (2 * n) ** 4 > 2**63:
         raise SearchTooLarge(f"{2 * n} signed terms overflow the int64 row key")
-    exact = w[0] <= INT64_VALUE_LIMIT
-    v = w[::2] if exact else [x % RESIDUE_PRIME for x in w[::2]]
-    key = np.array(v, dtype=np.int64)
+    key = np.array([x % RESIDUE_PRIME for x in w[::2]], dtype=np.int64)
     # S: the pairs b <= c keyed by v_b + v_c, the one sorted table.  The stable
     # sort keeps the row-major order of triu_indices inside each equal-key
     # run, so b does not decrease along a run.
     b, c = np.triu_indices(n)
     sums = key[b] + key[c]
-    if not exact:
-        sums[sums >= RESIDUE_PRIME] -= RESIDUE_PRIME
+    sums[sums >= RESIDUE_PRIME] -= RESIDUE_PRIME
     order = np.argsort(sums, kind="stable")
     ss, sb, sc = sums[order], b[order], c[order]
     # 2-2, v_b + v_c = v_b' + v_c': every two members x < y of a run.  Two
@@ -201,14 +197,11 @@ def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     # terms, so each relation comes out once; v_a > v_b gives a < b.
     a, d = b[b < c], c[b < c]
     diffs = key[a] - key[d]
-    if not exact:
-        diffs[diffs < 0] += RESIDUE_PRIME
+    diffs[diffs < 0] += RESIDUE_PRIME
     lo = np.searchsorted(ss, diffs, side="left")
     f, g = _ranges(lo, np.searchsorted(ss, diffs, side="right") - lo)
     keep = sc[g] <= d[f]
     f, g = f[keep], g[keep]
-    if len(x) + len(f) == 0:
-        return []
     two_two = np.stack([2 * sb[x], 2 * sc[x], 2 * sb[y] + 1, 2 * sc[y] + 1], axis=1)
     three_one = np.stack([2 * a[f], 2 * sb[g] + 1, 2 * sc[g] + 1, 2 * d[f] + 1], axis=1)
     # Both shapes are subsum-free: a 2-2 row's pairs share no term and a
@@ -218,11 +211,10 @@ def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     # 3-1 rows are built in it (a < b <= c <= d).
     rows = np.concatenate([np.sort(two_two, axis=1), three_one])
     rows = rows[_value_order(rows, 2 * n)]
-    if exact:
-        return list(map(tuple, np.array(w, dtype=np.int64)[rows].tolist()))
     # Residue keys match every sum that vanishes mod P; keep those that vanish.
-    quads = ((w[i], w[j], w[k], w[l]) for i, j, k, l in rows.tolist())
-    return [quad for quad in quads if sum(quad) == 0]
+    # The object gather hands back the caller's own ints.
+    quads = np.array(w, dtype=object)[rows]
+    return list(map(tuple, quads[quads.sum(axis=1) == 0].tolist()))
 
 
 def zero_quadruples(

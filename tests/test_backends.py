@@ -181,14 +181,14 @@ class TestOverflowPath:
     BIG = [3, 7, 2**62 + 7, 2**62 + 11]
 
     def test_big_values_match_oracle(self, each_backend):
-        # Terms above 2^61: numpy joins on residues and checks each hit exactly.
+        # Terms above P: numpy joins on residues and checks each hit exactly.
         expected = quadruples_by_completion(self.BIG)
         assert len(expected) == 1
         assert zero_quadruples(self.BIG) == expected
 
     def test_boundary_values_stay_int64(self, monkeypatch):
-        # max value exactly at the limit: the vectorized path is still safe
-        # because any pair sum stays below 2^62.
+        # max value exactly at 2^61: every residue equals its value, and
+        # every pair sum, at most 2^62, stays inside int64.
         monkeypatch.setenv(BACKEND_ENV, "numpy")
         values = [3, 7, 2**61 - 4, 2**61]  # 2^61 + 3 = (2^61 - 4) + 7
         result = zero_quadruples(values)
@@ -196,15 +196,15 @@ class TestOverflowPath:
         assert len(result) == 1
 
     def test_values_straddling_limit(self, each_backend):
-        # Two terms below 2^61 and two above: the whole set is keyed by
-        # residues, and its one relation is (2^61+2) - (2^61-2) - 7 + 3 = 0.
+        # Two terms below 2^61 and two above, all below P, so each residue is
+        # its value; the one relation is (2^61+2) - (2^61-2) - 7 + 3 = 0.
         values = [3, 7, 2**61 - 2, 2**61 + 2]
         result = zero_quadruples(values)
         assert result == quadruples_by_completion(values)
         assert result == [(2**61 + 2, -(2**61 - 2), -7, 3)]
 
-    # Above 2^61 the numpy engine joins on residues mod P, so sums that are
-    # nonzero multiples of P collide with zero.
+    # The numpy engine joins on residues mod P, so sums that are nonzero
+    # multiples of P collide with zero.
     P = backends.RESIDUE_PRIME
 
     @pytest.mark.parametrize(
@@ -228,10 +228,13 @@ class TestOverflowPath:
             ([P, 3 * P], [(3 * P, -P, -P, -P)]),
             # The difference of residues (P+1) - 5 is 1 - 5 < 0; it wraps to P - 4.
             ([5, P - 9, P + 1], [(P + 1, -(P - 9), -5, -5)]),
+            # Every term is below P, yet 2^61 + 2^61 wraps to 10565, so the
+            # join proposes 10566 = 2^61 + 2^61 + 1: not a relation.
+            ([1, 10566, 2**61], []),
         ],
         ids=[
             "false-positive", "pairs-at-p", "head-pair-at-p", "all-residues-zero",
-            "difference-wraps",
+            "difference-wraps", "pair-sum-wraps-below-limit",
         ],
     )
     def test_residue_collisions(self, each_backend, values, expected):
@@ -253,8 +256,9 @@ class TestOverflowPath:
         assert found > 0
 
 
-# Small values, values just below and above 2^61 (where keys turn from exact
-# values to residues), and k*P + r, whose residues collide with small values.
+# Small values, values just below and above 2^61 (whose pair sums pass P and
+# wrap to small residues), and k*P + r, whose residues collide with small
+# values.
 TERM_VALUES = st.one_of(
     st.integers(1, 200),
     st.integers(2**61 - 60, 2**61 + 60),
@@ -270,6 +274,7 @@ TERM_VALUES = st.one_of(
 @given(st.lists(TERM_VALUES, min_size=1, max_size=12, unique=True))
 @example([3, 7, 2**61 - 4, 2**61])
 @example([5, backends.RESIDUE_PRIME - 9, backends.RESIDUE_PRIME + 1])
+@example([1, 10566, 2**61])
 def test_numpy_engine_matches_python_engine(values):
     assert backends._zero_quads_numpy(values) == backends._zero_quads_python(values)
 

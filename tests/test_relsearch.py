@@ -442,7 +442,7 @@ class TestFindRelationsOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(search=small_searches())
-    @example(search=([3], 39))  # largest term 3^39 > 2^61: residue keys
+    @example(search=([3], 39))  # largest term 3^39 > 2^61: pair sums wrap mod P
     @example(search=([2, 89], 10))  # 2^10 * 89^10 > 2^61, 121 terms
     def test_matches_quadruple_oracle(self, search):
         primes, bound = search
