@@ -14,7 +14,10 @@ Every hit has one of two shapes: 2-2, v_a + v_b = v_c + v_d, or 3-1,
 v_a = v_b + v_c + v_d.  The numpy engine sorts one table, the pairs b <= c
 keyed by v_b + v_c, and joins it twice: the members of each equal-key run
 with one another (2-2), and the differences v_a - v_d, looked up in it, with
-their matches (3-1).  The python engine matches negated two-term sums:
+their matches (3-1).  Runs are read off the neighbours with equal keys, so
+only runs of two or more are expanded.  Each difference takes one left
+search and an equality test; only the hits take the right-side search that
+finds the end of their run.  The python engine matches negated two-term sums:
 enumerate pairs (a <= b), bucket by sum, and join each bucket with its
 negation under the interleave constraint b <= c, which yields every sorted
 quadruple exactly once.
@@ -27,6 +30,16 @@ Two interchangeable engines:
              prime, so the residue join loses no hit, and an exact sum of
              each hit drops the false positives.
   * python - pure-Python hash join on unbounded integers, the reference.
+
+Memory: the numpy engine keeps term indices in int32, computes sums and
+differences in place, and drops each table-sized array once it has been
+read.  This is for speed as much as size.  When a call frees a heap's worth
+of temporaries together, glibc trims the top of the heap back to the OS, and
+the next call faults those pages in again.  On the benchmark's 256-term
+`wide` sets, int64 indices with every temporary held to the end cost 1,040
+minor page faults per call and a traced peak of 3.98 MB; now a call takes
+225 faults and 1.37 MB.  On the 125-term `bigint` sets faults fell from 182
+per call to 0.
 
 Selection: environment variable UNITCYCLE_BACKEND = numpy | python
 (unset or "auto" picks numpy).
@@ -140,81 +153,100 @@ def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]
     return out
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the ranges [starts[x], starts[x] + counts[x]).
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[x], starts[x] + counts[x]), concatenated."""
+    ends = counts.cumsum()
+    flat = (starts - ends + counts).repeat(counts)
+    flat += np.arange(len(flat))
+    return flat
 
-    Returns each element's range x and the element itself.
+
+def _ranked_rows(vals: list[int]) -> np.ndarray:
+    """The numpy engine's join over the distinct values vals, largest first.
+
+    Returns a 4 x k array whose columns are the candidate rows, each as the
+    ranks of its four terms among the 2n signed values in ascending order,
+    and the columns sorted by value as the python engine sorts its rows.
+    Each relation is one column; sums that vanish only mod RESIDUE_PRIME add
+    columns that are not relations.
     """
-    owner = np.repeat(np.arange(len(counts)), counts)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return owner, starts[owner] + offset
-
-
-def _value_order(rows: np.ndarray, m: int) -> np.ndarray:
-    """The permutation that sorts index rows into W lexicographically by value.
-
-    This is the order the python engine sorts in: index 2t holds +v_t, the
-    (m-1-t)-th smallest entry of W, and 2t+1 holds -v_t, the t-th.  The four
-    ranks packed in base m sort in the same order.  The key is below m**4,
-    which fits int64 for m <= 55,108 (the numpy engine checks on entry); at
-    the default ceiling, n(n+1)/2 <= DEFAULT_CEILING keeps m = 2n <= 3,998.
-    Distinct rows give distinct keys, so any sort gives the one permutation.
-    The stable sort is the one the pair table already uses; the default
-    quicksort saved 0.04 s on 1.3M rows but paged in about 0.3 MB more of
-    numpy's code in every process.
-    """
-    idx = np.arange(m)
-    rank = np.where(idx % 2 == 0, m - 1 - idx // 2, idx // 2)
-    packed = rank[rows[:, 0]]
-    for col in (1, 2, 3):
-        packed = packed * m + rank[rows[:, col]]
-    return np.argsort(packed, kind="stable")
+    # Term t is v_t = vals[t], the t-th largest value.
+    n = len(vals)
+    m = 2 * n
+    if m**4 > 2**63:
+        raise SearchTooLarge(f"{m} signed terms overflow the int64 row key")
+    key = np.array([x % RESIDUE_PRIME for x in vals], dtype=np.int64)
+    # S: the pairs b <= c keyed by v_b + v_c, the one sorted table.  The stable
+    # sort keeps the row-major order of triu_indices inside each equal-key
+    # run, so b does not decrease along a run.  Term indices are int32, and
+    # each table-sized array is dropped once it has been read (the module
+    # docstring says why: heap trim and page faults).
+    pairs = np.array(np.triu_indices(n), dtype=np.int32)
+    sums = key[pairs[0]]
+    sums += key[pairs[1]]
+    np.subtract(sums, RESIDUE_PRIME, out=sums, where=sums >= RESIDUE_PRIME)
+    order = sums.argsort(kind="stable")
+    ss = sums[order]
+    del sums
+    b, c = pairs.take(order, axis=1)
+    del pairs, order
+    # 3-1, v_a = v_b + v_c + v_d: the differences v_a - v_d over the pairs of
+    # S, each looked up in S.  One left search finds where each would sit; it
+    # is a hit if the key there equals it.  A difference above every key
+    # sits past the end, and the clip compares it with the last key instead.
+    diffs = key[b]
+    diffs -= key[c]
+    np.add(diffs, RESIDUE_PRIME, out=diffs, where=diffs < 0)
+    lo = ss.searchsorted(diffs)
+    hit = (ss.take(lo, mode="clip") == diffs).nonzero()[0]
+    del diffs
+    # 2-2, v_b + v_c = v_b' + v_c': every two members x < y of a run.  The
+    # positions whose right neighbour has the same key are the possible x:
+    # every member of a run of two or more but its last.
+    run = (ss[1:] == ss[:-1]).nonzero()[0]
+    # One lookup per outer pair, the 2-2 ones first.  Its matches, the inner
+    # pairs, run from `first` to the end of the run that holds ss[first].
+    # Only these lookups take the right-side search.
+    outer = np.concatenate([run, hit])
+    first = np.concatenate([run + 1, lo[hit]])
+    del lo
+    counts = ss.searchsorted(ss[first], side="right") - first
+    two_two = counts[: len(run)].sum()
+    inner = _ranges(first, counts)
+    outer = outer.repeat(counts)
+    # A row holds the value ranks of +v_u, -v_b, -v_c and +-v_v for an outer
+    # pair (u, v) and an inner pair (b, c); in ascending value order, +v_t
+    # has rank m-1-t and -v_t rank t.  Two distinct 2-2 pairs with one sum
+    # share no term, so b < b' along a run and then c > c': the row
+    # (+v_u, -v_b, -v_c, +v_v) is in canonical order (|w| descending, then
+    # w descending).  A 3-1 row (+v_u, -v_b, -v_c, -v_v) has u < b <= c, and
+    # keeping c <= v makes v the smallest of its three negative terms, so
+    # each relation comes out once; a 2-2 row always passes that test.  Both
+    # shapes are subsum-free: no term meets its own negation, and none
+    # vanishes because the values are positive.
+    rows = np.array([b[outer], b[inner], c[inner], c[outer]])
+    np.subtract(m - 1, rows[0], out=rows[0])
+    np.subtract(m - 1, rows[3, :two_two], out=rows[3, :two_two])
+    rows = rows[:, rows[2] <= rows[3]]
+    # The four ranks packed in base m sort the rows as the python engine
+    # does.  The key is below m**4, which fits int64 for m <= 55,108 (checked
+    # above); at the default ceiling, n(n+1)/2 <= DEFAULT_CEILING keeps
+    # m <= 3,998.  Distinct rows give distinct keys.  The stable sort is the
+    # one the pair table already uses; the default quicksort saved 0.04 s on
+    # 1.3M rows but paged in about 0.3 MB more of numpy's code per process.
+    return rows[:, (np.array([m**3, m**2, m, 1]) @ rows).argsort(kind="stable")]
 
 
 def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
-    # Term t is v_t, the t-th largest value: W index 2t holds +v_t, 2t+1 -v_t.
-    w = _signed_descending(values)
-    n = len(w) // 2
-    if (2 * n) ** 4 > 2**63:
-        raise SearchTooLarge(f"{2 * n} signed terms overflow the int64 row key")
-    key = np.array([x % RESIDUE_PRIME for x in w[::2]], dtype=np.int64)
-    # S: the pairs b <= c keyed by v_b + v_c, the one sorted table.  The stable
-    # sort keeps the row-major order of triu_indices inside each equal-key
-    # run, so b does not decrease along a run.
-    b, c = np.triu_indices(n)
-    sums = key[b] + key[c]
-    sums[sums >= RESIDUE_PRIME] -= RESIDUE_PRIME
-    order = np.argsort(sums, kind="stable")
-    ss, sb, sc = sums[order], b[order], c[order]
-    # 2-2, v_b + v_c = v_b' + v_c': every two members x < y of a run.  Two
-    # distinct pairs with one sum share no term, so b < b', and the pair
-    # holding the smaller term index, x, is the positive side.  y runs over
-    # the positions after x up to the end of its run.
-    later = np.arange(1, len(ss) + 1)
-    x, y = _ranges(later, np.searchsorted(ss, ss, side="right") - later)
-    # 3-1, v_a = v_b + v_c + v_d: the differences a < d (the pairs of S with
-    # b < c), keyed by v_a - v_d, each looked up in S.  Keeping c <= d makes d the smallest of the three
-    # terms, so each relation comes out once; v_a > v_b gives a < b.
-    a, d = b[b < c], c[b < c]
-    diffs = key[a] - key[d]
-    diffs[diffs < 0] += RESIDUE_PRIME
-    lo = np.searchsorted(ss, diffs, side="left")
-    f, g = _ranges(lo, np.searchsorted(ss, diffs, side="right") - lo)
-    keep = sc[g] <= d[f]
-    f, g = f[keep], g[keep]
-    two_two = np.stack([2 * sb[x], 2 * sc[x], 2 * sb[y] + 1, 2 * sc[y] + 1], axis=1)
-    three_one = np.stack([2 * a[f], 2 * sb[g] + 1, 2 * sc[g] + 1, 2 * d[f] + 1], axis=1)
-    # Both shapes are subsum-free: a 2-2 row's pairs share no term and a
-    # 3-1 row's a is none of b, c, d, so no term meets its own negation, and
-    # no single term vanishes because the values are positive.  A row is its
-    # four indices in ascending order, because W is in canonical order; the
-    # 3-1 rows are built in it (a < b <= c <= d).
-    rows = np.concatenate([np.sort(two_two, axis=1), three_one])
-    rows = rows[_value_order(rows, 2 * n)]
+    vals = sorted(values, reverse=True)
     # Residue keys match every sum that vanishes mod P; keep those that vanish.
-    # The object gather hands back the caller's own ints.
-    quads = np.array(w, dtype=object)[rows]
-    return list(map(tuple, quads[quads.sum(axis=1) == 0].tolist()))
+    # Rows of sums that vanish only mod P need not obey the rules of the join,
+    # and this drops them all.  The object gather hands back the caller's own
+    # ints.  Every array of the join is freed before the gather starts, so
+    # this phase, the search's peak, reuses their memory: on medium the
+    # kernel peaks at 130 MB RSS, and at 162 MB with them held to the end.
+    quads = np.array([-x for x in vals] + vals[::-1], dtype=object)[_ranked_rows(vals)]
+    return list(map(tuple, quads[:, quads.sum(axis=0) == 0].T.tolist()))
 
 
 def zero_quadruples(

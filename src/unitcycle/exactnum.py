@@ -7,6 +7,7 @@ reduced to the integer predicates implemented in this module.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -136,17 +137,58 @@ def radical(values: Sequence[int], primes: Sequence[int]) -> int:
     return out
 
 
+# smallest_prime_factor trial-divides by every d below this bound.
+_TRIAL_LIMIT = 1000
+
+
+def _rho_divisor(n: int) -> int:
+    """A divisor 1 < d < n of the odd composite n: Pollard's rho, Brent's variant.
+
+    Deterministic: the polynomials x^2 + c are tried for c = 1, 2, ... from
+    the start x = 2 until one splits n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # The batched product passed through 0 mod n; step one at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def smallest_prime_factor(n: int) -> int:
-    """Smallest prime factor of n >= 2: n itself when n is prime, else by trial division."""
+    """Smallest prime factor of n >= 2: n itself when n is prime.
+
+    Trial division finds a factor below _TRIAL_LIMIT.  Past it, Pollard's
+    rho splits n and each part is searched the same way, so the smaller of
+    the two answers is the smallest prime factor.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    if is_probable_prime(n):
-        return n
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
+    for d in (2, *range(3, _TRIAL_LIMIT, 2)):
+        if d * d > n:
+            return n
         if n % d == 0:
             return d
-        d += 2
-    return n
+    if is_probable_prime(n):
+        return n
+    d = _rho_divisor(n)
+    return min(smallest_prime_factor(d), smallest_prime_factor(n // d))

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -96,8 +98,9 @@ class TestZeroQuadruples:
             ([1, 5, 7], {1}),        # 7 = 5 + 1 + 1: the two smallest tied
             ([1, 4, 7, 10], {2}),    # 7 + 1 = 4 + 4, 10 + 4 = 7 + 7, 10 + 1 = 7 + 4
             ([1, 2, 6, 9], {1}),     # 6 = 2 + 2 + 2, 9 = 6 + 2 + 1
+            ([5], set()),            # one term: one pair, no difference
         ],
-        ids=["2-2-repeated", "3-1-all-tied", "3-1-tied", "only-2-2", "only-3-1"],
+        ids=["2-2-repeated", "3-1-all-tied", "3-1-tied", "only-2-2", "only-3-1", "one-term"],
     )
     def test_shapes(self, each_backend, values, shapes):
         expected = quadruples_by_completion(values)
@@ -127,6 +130,24 @@ class TestZeroQuadruples:
         monkeypatch.setattr(backends.np, "triu_indices", no_table)
         with pytest.raises(SearchTooLarge, match="row key"):
             zero_quadruples(range(1, 27_556), ceiling=10**10)
+
+    def test_transient_peak(self, monkeypatch):
+        # The 256 terms of {7, 11, 31, 37} general:3.  The numpy engine keeps
+        # term indices in int32 and drops each table-sized array once it has
+        # been read: a traced peak of 1.37 MB, where keeping every temporary
+        # to the end of the search took 3.98 MB.
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        values = [
+            7**a * 11**b * 31**c * 37**d for a, b, c, d in itertools.product(range(4), repeat=4)
+        ]
+        assert len(zero_quadruples(values)) == 748
+        tracemalloc.start()
+        try:
+            zero_quadruples(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
 
     def test_default_pair_ceiling_applies(self):
         # 3,000 values -> 4,501,500 pair sums, above the 2,000,000 default.
@@ -231,10 +252,28 @@ class TestOverflowPath:
             # Every term is below P, yet 2^61 + 2^61 wraps to 10565, so the
             # join proposes 10566 = 2^61 + 2^61 + 1: not a relation.
             ([1, 10566, 2**61], []),
+            # The difference 1 - 3 wraps to P - 2, above every pair-sum key:
+            # its lookup falls off the end of the table.  The keys of P+1
+            # and 1 collide, so the table starts with a run of three 2s.
+            ([1, 3, P + 1], [(3, -1, -1, -1)]),
+            # Residues 1, 0, 0, 0: the six pair sums of P, 2P and 3P are the
+            # run of 0s at the start of the table.
+            ([1, P, 2 * P, 3 * P], [(3 * P, -2 * P, -2 * P, P), (3 * P, -P, -P, -P)]),
+            # Residues 1 and P-1 three times: their six pair sums wrap to
+            # P - 2, the run at the end of the table.
+            (
+                [1, P - 1, 2 * P - 1, 3 * P - 1],
+                [
+                    (2 * P - 1, -(P - 1), -(P - 1), -1),
+                    (3 * P - 1, -(2 * P - 1), -(2 * P - 1), P - 1),
+                    (3 * P - 1, -(2 * P - 1), -(P - 1), -1),
+                ],
+            ),
         ],
         ids=[
             "false-positive", "pairs-at-p", "head-pair-at-p", "all-residues-zero",
-            "difference-wraps", "pair-sum-wraps-below-limit",
+            "difference-wraps", "pair-sum-wraps-below-limit", "difference-past-every-key",
+            "run-at-first-key", "run-at-last-key",
         ],
     )
     def test_residue_collisions(self, each_backend, values, expected):

@@ -38,6 +38,8 @@ EXIT_MATRIX = [
     (["interpolate", "1,2,3", "--ring", "3"], 2, "expected 4 comma-separated values, got 3"),
     (["interpolate", "--ring", "3"], 2, "four cycle points are required"),
     (["interpolate", "1/1000000000000000009,2,3,4", "--ring", "3"], 1, "prime factor 1000000000000000009"),
+    # The denominator is 1000000000039 * 1000000000061: no small factor.
+    (["interpolate", "1/1000000000100000000002379,2,3,4", "--ring", "3"], 1, "prime factor 1000000000039"),
     (["verify-cycle", "--poly", H_POLY, "--points", H_POINTS, "--ring", "5,11"], 0, "cycle verified"),
     (["verify-cycle", "--poly", H_POLY, "--points", "1,2,3,4", "--ring", "5,11"], 1, "not a 4-cycle"),
     (["orbit", "--poly", "5,-19/3,4,-2/3", "--start", "1", "--max", "10"], 0, "preperiod 0, period 4"),

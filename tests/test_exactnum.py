@@ -137,6 +137,13 @@ def test_smallest_prime_factor():
         smallest_prime_factor(1)
 
 
+def test_smallest_prime_factor_without_a_small_factor():
+    # Trial division up to the smaller factor would take about 5 * 10^11 steps.
+    assert smallest_prime_factor(1000000000039 * 1000000000061) == 1000000000039
+    assert smallest_prime_factor(1000000000061 * 1000000000039**2) == 1000000000039
+    assert smallest_prime_factor(1009**3 * 1013) == 1009
+
+
 def test_smallest_prime_factor_of_a_large_prime():
     # Trial division up to the square root would take about 5 * 10^14 steps.
     p = next_prime(10**30)
