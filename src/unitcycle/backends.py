@@ -15,9 +15,13 @@ v_a = v_b + v_c + v_d.  The numpy engine sorts one table, the pairs b <= c
 keyed by v_b + v_c, and joins it twice: the members of each equal-key run
 with one another (2-2), and the differences v_a - v_d, looked up in it, with
 their matches (3-1).  Runs are read off the neighbours with equal keys, so
-only runs of two or more are expanded.  Each difference takes one left
-search and an equality test; only the hits take the right-side search that
-finds the end of their run.  The python engine matches negated two-term sums:
+only runs of two or more are expanded.  The differences come in pair order
+from the same two gathers of term keys as the sums.  Most of them match no
+sum, so a presence table of the sums (one flag per hash slot, two to four
+slots per sum) drops most of those first; each that passes takes one left
+search and an equality test, and only the hits take the right-side search
+that finds the end of their run.  Only the rows the join builds are mapped
+back through the sort order.  The python engine matches negated two-term sums:
 enumerate pairs (a <= b), bucket by sum, and join each bucket with its
 negation under the interleave constraint b <= c, which yields every sorted
 quadruple exactly once.
@@ -38,8 +42,8 @@ of temporaries together, glibc trims the top of the heap back to the OS, and
 the next call faults those pages in again.  On the benchmark's 256-term
 `wide` sets, int64 indices with every temporary held to the end cost 1,040
 minor page faults per call and a traced peak of 3.98 MB; now a call takes
-225 faults and 1.37 MB.  On the 125-term `bigint` sets faults fell from 182
-per call to 0.
+about 210 faults and 1.23 MB.  On the 125-term `bigint` sets faults fell
+from 182 per call to 0.
 
 Selection: environment variable UNITCYCLE_BACKEND = numpy | python
 (unset or "auto" picks numpy).
@@ -154,11 +158,60 @@ def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges [starts[x], starts[x] + counts[x]), concatenated."""
-    ends = counts.cumsum()
+    """The ranges [starts[x], starts[x] + counts[x]), concatenated, in counts' dtype."""
+    ends = counts.cumsum(dtype=counts.dtype)
     flat = (starts - ends + counts).repeat(counts)
-    flat += np.arange(len(flat))
+    flat += np.arange(len(flat), dtype=flat.dtype)
     return flat
+
+
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n(n+1)/2 pairs b <= c of 0..n-1 in row-major order, as int32 arrays."""
+    terms = np.arange(n, dtype=np.int32)
+    width = n - terms
+    return terms.repeat(width), _ranges(terms, width)
+
+
+# Fibonacci hashing: 2^64 divided by the golden ratio, odd.  The top bits of
+# key * _HASH_MULT mod 2^64 spread residues evenly over the presence table.
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Each int64 key's slot in a table of 2**bits: the top bits of its hash.
+
+    The slots come back as int64, which numpy indexes with no copy (it
+    converts a uint64 index array first).
+    """
+    slots = keys.view(np.uint64) * _HASH_MULT
+    slots >>= np.uint64(64 - bits)
+    return slots.view(np.int64)
+
+
+def _maybe_members(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The indices, ascending, of the probes whose hash slot holds some key.
+
+    The presence table has one flag per slot and two to four slots per key.
+    A probe equal to a key has that key's slot, so this drops no member; the
+    probes it keeps that are not members are for the caller's exact test.
+    """
+    bits = len(keys).bit_length() + 1
+    present = np.zeros(1 << bits, dtype=bool)
+    present[_slots(keys, bits)] = True
+    return present[_slots(probes, bits)].nonzero()[0]
+
+
+def _find(table: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, first): the indices x of the probes equal to some key of the sorted
+    int64 array table, and for each the position of its first equal key.
+
+    One left search finds where each probe would sit; it is a member if the
+    key there equals it.  A probe above every key sits past the end, and the
+    clip compares it with the last key instead.
+    """
+    first = table.searchsorted(probes)
+    x = (table.take(first, mode="clip") == probes).nonzero()[0]
+    return x, first[x]
 
 
 def _ranked_rows(vals: list[int]) -> np.ndarray:
@@ -177,42 +230,49 @@ def _ranked_rows(vals: list[int]) -> np.ndarray:
         raise SearchTooLarge(f"{m} signed terms overflow the int64 row key")
     key = np.array([x % RESIDUE_PRIME for x in vals], dtype=np.int64)
     # S: the pairs b <= c keyed by v_b + v_c, the one sorted table.  The stable
-    # sort keeps the row-major order of triu_indices inside each equal-key
+    # sort keeps the row-major order of the pair table inside each equal-key
     # run, so b does not decrease along a run.  Term indices are int32, and
     # each table-sized array is dropped once it has been read (the module
-    # docstring says why: heap trim and page faults).
-    pairs = np.array(np.triu_indices(n), dtype=np.int32)
-    sums = key[pairs[0]]
-    sums += key[pairs[1]]
+    # docstring says why: heap trim and page faults).  Only the rows the join
+    # builds are mapped back through `order`; b and c stay in pair order.
+    b, c = _pair_table(n)
+    # The two key gathers give both the sums and, in pair order, the 3-1
+    # differences v_b - v_c = 2 v_b - (v_b + v_c), with no third array.
+    sums = key[b]
+    diffs = key[c]
+    sums += diffs
+    diffs *= -2
+    diffs += sums
     np.subtract(sums, RESIDUE_PRIME, out=sums, where=sums >= RESIDUE_PRIME)
+    np.add(diffs, RESIDUE_PRIME, out=diffs, where=diffs < 0)
+    # 3-1, v_a = v_b + v_c + v_d: the differences v_a - v_d over the pairs
+    # (a, d) of S, each looked up in S.  The presence filter runs before the
+    # sort, on the same set of sums, so only the differences it keeps live
+    # on through the sort.
+    maybe = _maybe_members(sums, diffs)
+    wanted = diffs[maybe]
+    del diffs
     order = sums.argsort(kind="stable")
     ss = sums[order]
     del sums
-    b, c = pairs.take(order, axis=1)
-    del pairs, order
-    # 3-1, v_a = v_b + v_c + v_d: the differences v_a - v_d over the pairs of
-    # S, each looked up in S.  One left search finds where each would sit; it
-    # is a hit if the key there equals it.  A difference above every key
-    # sits past the end, and the clip compares it with the last key instead.
-    diffs = key[b]
-    diffs -= key[c]
-    np.add(diffs, RESIDUE_PRIME, out=diffs, where=diffs < 0)
-    lo = ss.searchsorted(diffs)
-    hit = (ss.take(lo, mode="clip") == diffs).nonzero()[0]
-    del diffs
+    found, hit_first = _find(ss, wanted)
+    hit = maybe[found]
+    del maybe, wanted, found
     # 2-2, v_b + v_c = v_b' + v_c': every two members x < y of a run.  The
     # positions whose right neighbour has the same key are the possible x:
     # every member of a run of two or more but its last.
     run = (ss[1:] == ss[:-1]).nonzero()[0]
-    # One lookup per outer pair, the 2-2 ones first.  Its matches, the inner
-    # pairs, run from `first` to the end of the run that holds ss[first].
-    # Only these lookups take the right-side search.
-    outer = np.concatenate([run, hit])
-    first = np.concatenate([run + 1, lo[hit]])
-    del lo
+    # One lookup per outer pair, the 2-2 ones first, each as its index in
+    # the pair table.  Its matches, the inner pairs, run from `first` to the
+    # end of the run that holds ss[first].  Only these lookups take the
+    # right-side search.
+    outer = np.concatenate([order[run], hit])
+    first = np.concatenate([run + 1, hit_first])
     counts = ss.searchsorted(ss[first], side="right") - first
+    del ss
     two_two = counts[: len(run)].sum()
-    inner = _ranges(first, counts)
+    inner = order[_ranges(first, counts)]
+    del order
     outer = outer.repeat(counts)
     # A row holds the value ranks of +v_u, -v_b, -v_c and +-v_v for an outer
     # pair (u, v) and an inner pair (b, c); in ascending value order, +v_t

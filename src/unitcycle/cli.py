@@ -218,7 +218,9 @@ def cmd_build_avoiding(args) -> CommandResult:
 
 def cmd_abc_pair(args) -> CommandResult:
     rep = abc_pair(Fraction(args.C), args.m, args.seed)
-    payload = rep.to_json_dict()
+    # Only --json output builds the JSON body.  From m = 16 an ordering-window
+    # operand has more digits than str() of an int accepts by default.
+    payload = rep.to_json_dict() if args.json else None
     failed = [c.name for c in rep.checks if not c.passed]
     if rep.all_pass:
         return _result(

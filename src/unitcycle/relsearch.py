@@ -205,12 +205,13 @@ def term_table(
         raise SearchTooLarge(
             f"{count} candidate terms exceed the ceiling {limit}"
         )
-    table: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(range(bound + 1), repeat=n):
-        v = 1
-        for p, e in zip(s.primes, exps):
-            v *= p**e
-        table[v] = exps
+    # One product per entry: each prime extends every product so far by each
+    # of its powers, last prime fastest, the order of
+    # itertools.product(range(bound + 1), repeat=n).
+    table: dict[int, tuple[int, ...]] = {1: ()}
+    for p in s.primes:
+        powers = [(p**e, e) for e in range(bound + 1)]
+        table = {v * q: exps + (e,) for v, exps in table.items() for q, e in powers}
     return table
 
 
@@ -238,7 +239,7 @@ def find_relations(
     # rest.  The object is then filled in as Relation.__init__ would, without
     # checking the same terms again for every row.
     terms = {}
-    for v in {v for row in rows for v in row}:
+    for v in set(itertools.chain.from_iterable(rows)):
         t = terms[v] = UnitTerm(1 if v > 0 else -1, table[abs(v)])
         _check_term(s.primes, t, v)
     new, set_field = object.__new__, object.__setattr__

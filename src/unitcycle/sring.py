@@ -71,7 +71,7 @@ class UnitTerm:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 or +1")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple(map(int, self.exponents)))
 
 
 def term_value(t: UnitTerm, s: InversionSet) -> Fraction:

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -127,14 +128,14 @@ class TestZeroQuadruples:
             raise AssertionError("the pair table was built")
 
         monkeypatch.setenv(BACKEND_ENV, "numpy")
-        monkeypatch.setattr(backends.np, "triu_indices", no_table)
+        monkeypatch.setattr(backends, "_pair_table", no_table)
         with pytest.raises(SearchTooLarge, match="row key"):
             zero_quadruples(range(1, 27_556), ceiling=10**10)
 
     def test_transient_peak(self, monkeypatch):
         # The 256 terms of {7, 11, 31, 37} general:3.  The numpy engine keeps
         # term indices in int32 and drops each table-sized array once it has
-        # been read: a traced peak of 1.37 MB, where keeping every temporary
+        # been read: a traced peak of 1.24 MB, where keeping every temporary
         # to the end of the search took 3.98 MB.
         monkeypatch.setenv(BACKEND_ENV, "numpy")
         values = [
@@ -183,7 +184,7 @@ class TestPairCeiling:
             raise PastTheCheck
 
         monkeypatch.setenv(BACKEND_ENV, "numpy")
-        monkeypatch.setattr(backends.np, "triu_indices", sentinel)
+        monkeypatch.setattr(backends, "_pair_table", sentinel)
         with pytest.raises(PastTheCheck):
             zero_quadruples(range(1, 2301), ceiling=10**8)
 
@@ -192,7 +193,7 @@ class TestPairCeiling:
             raise AssertionError("the pair table was built")
 
         monkeypatch.setenv(BACKEND_ENV, "numpy")
-        monkeypatch.setattr(backends.np, "triu_indices", no_table)
+        monkeypatch.setattr(backends, "_pair_table", no_table)
         with pytest.raises(SearchTooLarge, match="pair sums"):
             zero_quadruples(range(1, 101), ceiling=100)
 
@@ -316,6 +317,95 @@ TERM_VALUES = st.one_of(
 @example([1, 10566, 2**61])
 def test_numpy_engine_matches_python_engine(values):
     assert backends._zero_quads_numpy(values) == backends._zero_quads_python(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_pair_table_is_row_major(n):
+    # The stable sort of the pair sums relies on this order (b ascending,
+    # then c), which is the order of np.triu_indices.
+    b, c = backends._pair_table(n)
+    assert b.dtype == c.dtype == np.int32
+    assert b.tolist() == [i for i in range(n) for _ in range(i, n)]
+    assert c.tolist() == [j for i in range(n) for j in range(i, n)]
+
+
+class TestLookup:
+    """The 3-1 lookup: the presence filter, then the exact search of the table."""
+
+    P = backends.RESIDUE_PRIME
+
+    @staticmethod
+    def lookup(keys, probes):
+        """The kernel's composition: filter, then find the kept probes."""
+        keys = np.array(keys, dtype=np.int64)
+        probes = np.array(probes, dtype=np.int64)
+        maybe = backends._maybe_members(keys, probes)
+        found, first = backends._find(np.sort(keys, kind="stable"), probes[maybe])
+        return maybe[found].tolist(), first.tolist()
+
+    def test_probes_above_every_key(self):
+        # A probe past the last key compares with it (the clip), not past it.
+        table = np.array([2, 5, 5, 9], dtype=np.int64)
+        probes = np.array([10, self.P - 1, 9, 1, 5, 0, 3], dtype=np.int64)
+        x, first = backends._find(table, probes)
+        assert x.tolist() == [2, 4]
+        assert first.tolist() == [3, 1]
+
+    def test_filter_false_positives_are_not_hits(self):
+        # With two to four slots per key, many non-members share a key's
+        # slot and pass the filter; the exact search must drop every one.
+        rng = random.Random(16)
+        keys = rng.sample(range(10**6), 300)
+        key_set = set(keys)
+        others = [v for v in rng.sample(range(10**6), 3000) if v not in key_set]
+        probes = others + keys[::3]
+        passed = backends._maybe_members(
+            np.array(keys, dtype=np.int64), np.array(probes, dtype=np.int64)
+        ).tolist()
+        assert sum(i < len(others) for i in passed) > 100
+        table = sorted(keys)
+        hits, first = self.lookup(keys, probes)
+        assert hits == list(range(len(others), len(probes)))
+        assert first == [table.index(probes[i]) for i in hits]
+
+    def test_first_of_a_run(self):
+        hits, first = self.lookup([7, 3, 7, 7, 1], [7, 2, 1, 3, 8])
+        assert hits == [0, 2, 3]
+        assert first == [2, 0, 1]
+
+
+# Keys the presence filter must keep: 0, P - 1, powers of 2, and keys that
+# differ only in their high bits.  Multiplying by the odd hash multiplier
+# mod 2^64 carries bits only upward, so the hashes of such keys differ only
+# in their high bits, the ones that pick the slot.
+FILTER_KEYS = st.one_of(
+    st.sampled_from([0, 1, backends.RESIDUE_PRIME - 1]),
+    st.builds(lambda e: 2**e, st.integers(0, 61)),
+    st.builds(lambda low, high: (high << 40) + low, st.integers(0, 50), st.integers(0, 2**21)),
+    st.integers(0, backends.RESIDUE_PRIME - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(FILTER_KEYS, min_size=1, max_size=60),
+    st.lists(FILTER_KEYS, max_size=60),
+)
+@example([0, backends.RESIDUE_PRIME - 1, 2**61], [2**61, 0, 5])
+@example([1, 1 + 2**60, 1 + 2**61], [1 + 2**61, 1 + 2**59])
+def test_presence_filter_keeps_every_member(keys, others):
+    probes = others + keys
+    maybe = backends._maybe_members(
+        np.array(keys, dtype=np.int64), np.array(probes, dtype=np.int64)
+    ).tolist()
+    key_set = set(keys)
+    members = [i for i, v in enumerate(probes) if v in key_set]
+    assert set(members) <= set(maybe)
+    assert maybe == sorted(set(maybe))
+    hits, first = TestLookup.lookup(keys, probes)
+    table = sorted(keys)
+    assert hits == members
+    assert first == [table.index(probes[i]) for i in hits]
 
 
 class TestRouting:

@@ -52,6 +52,13 @@ EXIT_MATRIX = [
     (["build-avoiding", "--k", "3", "--n", "1"], 0, "5, 17, 257"),
     (["abc-pair", "--C", "1", "--m", "9"], 0, "all 27 checks pass"),
     (["abc-pair", "--C", "1", "--m", "8"], 2, "m >= 9"),
+    # Text output builds no JSON body, whose ordering-window operands pass
+    # str()'s 4,300-digit limit from m = 16.
+    (
+        ["abc-pair", "--C", "1", "--m", "16"],
+        0,
+        "p1 = 121439531096594251873, p2 = 364318593289782755623: all 48 checks pass",
+    ),
     (["bb-check", "--relation", REL_3_JSON, "--C", "1", "--eps", "1"], 0, "holds"),
     (["bb-check", "--relation", REL_3_JSON, "--C", "1/28", "--eps", "0"], 1, "fails"),
     (["bb-check", "--relation", "not json", "--C", "1", "--eps", "0"], 2, "malformed"),

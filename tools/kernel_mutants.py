@@ -52,8 +52,18 @@ MUTANTS = [
     ),
     (
         "3-1 equality test dropped",
-        '(ss.take(lo, mode="clip") == diffs).nonzero()[0]',
-        "np.arange(len(diffs))",
+        '(table.take(first, mode="clip") == probes).nonzero()[0]',
+        "np.arange(len(probes))",
+    ),
+    (
+        "differences hashed unlike the sums (presence filter)",
+        "present[_slots(probes, bits)]",
+        "present[_slots(probes, bits - 1)]",
+    ),
+    (
+        "3-1 hits not mapped through the candidate index",
+        "hit = maybe[found]",
+        "hit = found",
     ),
 ]
 
