@@ -51,8 +51,9 @@ Selection: environment variable UNITCYCLE_BACKEND = numpy | python
 Size: every search has one ceiling, resolve_ceiling(): an explicit argument,
 else UNITCYCLE_CEILING, else DEFAULT_CEILING.  Both engines refuse with
 SearchTooLarge, before allocating anything, when the n(n+1)/2 pair sums
-exceed it; the term table and the unit scans compare their own sizes with
-the same number.
+exceed it (refuse_pair_sums, which find_relations also runs before it builds
+its term table); the term table and the unit scans compare their own sizes
+with the same number.
 """
 
 from __future__ import annotations
@@ -103,6 +104,13 @@ def resolve_ceiling(explicit: int | None = None) -> int:
     if value is None or value < 0:
         raise ValueError(f"{CEILING_ENV} must be a nonnegative integer, got {env!r}")
     return value
+
+
+def refuse_pair_sums(n: int, limit: int) -> None:
+    """Raise SearchTooLarge when the n(n+1)/2 pair sums of n terms exceed limit."""
+    npairs = n * (n + 1) // 2
+    if npairs > limit:
+        raise SearchTooLarge(f"{npairs} pair sums exceed the ceiling {limit}")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -325,10 +333,7 @@ def zero_quadruples(
         return []
     if any(v <= 0 for v in vs) or len(set(vs)) != len(vs):
         raise ValueError("term values must be distinct positive integers")
-    npairs = len(vs) * (len(vs) + 1) // 2
-    limit = resolve_ceiling(ceiling)
-    if npairs > limit:
-        raise SearchTooLarge(f"{npairs} pair sums exceed the ceiling {limit}")
+    refuse_pair_sums(len(vs), resolve_ceiling(ceiling))
     if active_backend() == "python":
         return _zero_quads_python(vs)
     return _zero_quads_numpy(vs)

@@ -2,8 +2,11 @@
 
 Exit codes: 0 affirmative result, 1 negative finding, 2 usage or input error,
 3 resource ceiling exceeded, 141 (128 + SIGPIPE) standard output closed by
-its reader.  `--json` swaps the human text for a JSON body
-that round-trips through the library parsers.
+its reader; an unwritable `--csv` or `--svg` path is an input error (2).
+`--json` swaps the human text for a JSON body that round-trips through the
+library parsers.  Each command returns its exit code, its text line and a
+builder for its JSON body; `dispatch` calls the builder only for `--json`,
+so a text request builds no JSON.
 
 `main` can be called repeatedly in one process: the argparse parser is
 built once and reused, and each call parses into a fresh namespace.  Only a
@@ -19,6 +22,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +54,10 @@ class CommandResult:
     exit_code: int
     text: str
     payload: dict | None = None
-    as_json: bool = False
+
+
+# A command's exit code, text line, and builder of its JSON body (run only for --json).
+Outcome = tuple[int, str, Callable[[], dict]]
 
 
 # Values like "-10,-5,-4,1" would be read as option strings by argparse.
@@ -91,30 +98,23 @@ def _parse_fractions(text: str, expect: int | None = None) -> tuple[Fraction, ..
     return tuple(Fraction(p) for p in parts)
 
 
-def _result(args, code: int, text: str, payload: dict | None) -> CommandResult:
-    return CommandResult(code, text, payload, bool(getattr(args, "json", False)))
-
-
-def cmd_admits(args) -> CommandResult:
+def cmd_admits(args) -> Outcome:
     s = InversionSet.parse(args.primes)
     cfg = SearchConfig.parse(args.mode)
     ok, witness = admits_4cycle(s, cfg, ceiling=args.ceiling)
-    payload = {
+    if ok:
+        text = f"{s.ring_name()} admits a 4-cycle ({cfg.label}): {witness.pretty()}"
+    else:
+        text = f"{s.ring_name()}: no relation; avoids within bound {cfg.bound} ({cfg.label})"
+    return 0 if ok else 1, text, lambda: {
         "inversion_set": list(s.primes),
         "mode": cfg.label,
         "admits": ok,
         "witness": witness.to_json_dict() if witness else None,
     }
-    if ok:
-        return _result(
-            args, 0, f"{s.ring_name()} admits a 4-cycle ({cfg.label}): {witness.pretty()}", payload
-        )
-    return _result(
-        args, 1, f"{s.ring_name()}: no relation; avoids within bound {cfg.bound} ({cfg.label})", payload
-    )
 
 
-def cmd_interpolate(args) -> CommandResult:
+def cmd_interpolate(args) -> Outcome:
     raw = args.points if args.points is not None else args.points_flag
     if raw is None:
         raise ValueError("four cycle points are required, e.g. 1,2,3,4")
@@ -123,148 +123,120 @@ def cmd_interpolate(args) -> CommandResult:
     try:
         w = lagrange_cycle_poly(points, s)
     except RingMembershipError as e:
-        payload = {
-            "points": [str(x) for x in points],
-            "inversion_set": list(s.primes),
-            "in_ring": False,
-            "offending_value": str(e.value),
-            "bad_prime": e.bad_prime,
-        }
-        return _result(args, 1, f"interpolant leaves the ring: {e}", payload)
-    payload = w.to_json_dict()
-    payload["polynomial"] = str(w.poly)
-    return _result(args, 0, str(w.poly), payload)
+        # Built here: Python unbinds e when the except block ends.
+        body = {"points": [str(x) for x in points], "inversion_set": list(s.primes)}
+        body.update(in_ring=False, offending_value=str(e.value), bad_prime=e.bad_prime)
+        return 1, f"interpolant leaves the ring: {e}", lambda: body
+    return 0, str(w.poly), lambda: {**w.to_json_dict(), "polynomial": str(w.poly)}
 
 
-def cmd_verify_cycle(args) -> CommandResult:
+def cmd_verify_cycle(args) -> Outcome:
     w = CycleWitness(
         InversionSet.parse(args.ring),
         _parse_fractions(args.points, expect=4),
         RationalPolynomial.parse(args.poly),
     )
     res = verify_cycle(w)
-    payload = {"ok": res.ok, "reason": res.reason, "witness": w.to_json_dict()}
+
+    def body() -> dict:
+        d = {"ok": res.ok, "reason": res.reason, "witness": w.to_json_dict()}
+        if res.ok:
+            d["differences"] = [str(x) for x in relation_from_cycle(w.points)]
+        return d
+
     if res.ok:
-        diffs = relation_from_cycle(w.points)
-        payload["differences"] = [str(d) for d in diffs]
-        return _result(args, 0, f"cycle verified over {w.inversion_set.ring_name()}", payload)
-    return _result(args, 1, f"not a 4-cycle: {res.reason}", payload)
+        return 0, f"cycle verified over {w.inversion_set.ring_name()}", body
+    return 1, f"not a 4-cycle: {res.reason}", body
 
 
-def cmd_orbit(args) -> CommandResult:
+def cmd_orbit(args) -> Outcome:
     poly = RationalPolynomial.parse(args.poly)
     rep = orbit(poly, Fraction(args.start), args.max)
-    payload = rep.to_json_dict()
     if rep.outcome == "periodic":
-        return _result(
-            args, 0, f"periodic: preperiod {rep.preperiod}, period {rep.period}", payload
-        )
+        return 0, f"periodic: preperiod {rep.preperiod}, period {rep.period}", rep.to_json_dict
     if rep.outcome == "escaping":
-        return _result(args, 1, f"escaping orbit after {rep.iterations} iterations", payload)
-    return _result(args, 1, f"no cycle within {rep.iterations} iterations", payload)
+        return 1, f"escaping orbit after {rep.iterations} iterations", rep.to_json_dict
+    return 1, f"no cycle within {rep.iterations} iterations", rep.to_json_dict
 
 
-def cmd_zieve(args) -> CommandResult:
+def cmd_zieve(args) -> Outcome:
     s = InversionSet.parse(args.ring)
     hit = zieve_unit_search(s, args.bound, ceiling=args.ceiling)
+    u, v = map(str, hit) if hit is not None else (None, None)
     if hit is not None:
-        u, v = hit
-        payload = {
-            "inversion_set": list(s.primes),
-            "bound": args.bound,
-            "u": str(u),
-            "v": str(v),
-        }
-        return _result(args, 0, f"witness units: u = {u}, v = {v}", payload)
-    payload = {"inversion_set": list(s.primes), "bound": args.bound, "u": None, "v": None}
-    return _result(args, 1, f"no witness within exponent bound {args.bound}", payload)
+        text = f"witness units: u = {u}, v = {v}"
+    else:
+        text = f"no witness within exponent bound {args.bound}"
+    return 0 if hit is not None else 1, text, lambda: {
+        "inversion_set": list(s.primes), "bound": args.bound, "u": u, "v": v
+    }
 
 
-def cmd_certify_avoid(args) -> CommandResult:
+def cmd_certify_avoid(args) -> Outcome:
     s = InversionSet.parse(args.primes)
     cfg = SearchConfig.parse(args.mode)
     res = separation_certificate(s, cfg, ceiling=args.ceiling)
     if isinstance(res, AvoidanceCertificate):
-        payload = res.to_json_dict()
-        return _result(
-            args,
-            0,
+        text = (
             f"3-separation holds for {s.ring_name()} ({cfg.label}): "
-            f"{len(res.products)} products, {len(res.checks)} steps",
-            payload,
+            f"{len(res.products)} products, {len(res.checks)} steps"
         )
-    payload = {
+        return 0, text, res.to_json_dict
+    return 1, f"3-separation fails: 3*{res.smaller} >= {res.larger}", lambda: {
         "inversion_set": list(s.primes),
         "mode": cfg.label,
         "counterexample": [str(res.smaller), str(res.larger)],
     }
-    return _result(
-        args, 1, f"3-separation fails: 3*{res.smaller} >= {res.larger}", payload
-    )
 
 
-def cmd_build_avoiding(args) -> CommandResult:
+def cmd_build_avoiding(args) -> Outcome:
     s = construct_avoiding_set(args.k, args.n, args.start)
-    payload = {
-        "k": args.k,
-        "n": args.n,
-        "start": args.start,
-        "primes": list(s.primes),
+    return 0, f"avoiding set (npower:{args.n}): {', '.join(map(str, s.primes))}", lambda: {
+        "k": args.k, "n": args.n, "start": args.start, "primes": list(s.primes)
     }
-    return _result(
-        args, 0, f"avoiding set (npower:{args.n}): {', '.join(map(str, s.primes))}", payload
-    )
 
 
-def cmd_abc_pair(args) -> CommandResult:
+def cmd_abc_pair(args) -> Outcome:
     rep = abc_pair(Fraction(args.C), args.m, args.seed)
-    # Only --json output builds the JSON body.  From m = 16 an ordering-window
-    # operand has more digits than str() of an int accepts by default.
-    payload = rep.to_json_dict() if args.json else None
-    failed = [c.name for c in rep.checks if not c.passed]
     if rep.all_pass:
-        return _result(
-            args,
-            0,
-            f"p1 = {rep.p1}, p2 = {rep.p2}: all {len(rep.checks)} checks pass",
-            payload,
-        )
-    return _result(args, 1, f"checks failed: {', '.join(failed)}", payload)
+        text = f"p1 = {rep.p1}, p2 = {rep.p2}: all {len(rep.checks)} checks pass"
+    else:
+        text = "checks failed: " + ", ".join(c.name for c in rep.checks if not c.passed)
+    return 0 if rep.all_pass else 1, text, rep.to_json_dict
 
 
-def cmd_bb_check(args) -> CommandResult:
+def cmd_bb_check(args) -> Outcome:
     try:
         rel = Relation.from_json_dict(json.loads(args.relation))
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ValueError(f"malformed relation JSON: {e}") from e
     holds = check_bb_inequality(rel, Fraction(args.C), Fraction(args.eps))
-    payload = {
+    mx = max(abs(v) for v in rel.values)
+    if holds:
+        text = f"inequality holds: max |a_i| = {mx} is bounded"
+    else:
+        text = f"inequality fails: max |a_i| = {mx} exceeds the bound"
+    return 0 if holds else 1, text, lambda: {
         "relation": rel.to_json_dict(),
         "C": str(Fraction(args.C)),
         "epsilon": str(Fraction(args.eps)),
         "holds": holds,
     }
-    mx = max(abs(v) for v in rel.values)
-    if holds:
-        return _result(args, 0, f"inequality holds: max |a_i| = {mx} is bounded", payload)
-    return _result(args, 1, f"inequality fails: max |a_i| = {mx} exceeds the bound", payload)
 
 
-def cmd_lenstra(args) -> CommandResult:
+def cmd_lenstra(args) -> Outcome:
     s = InversionSet.parse(args.ring)
     w = unit_difference_clique(s, args.k, args.bound, ceiling=args.ceiling)
     if w is not None:
-        payload = w.to_json_dict()
-        payload["k"] = args.k
         elems = ", ".join(str(x) for x in w.elements)
-        return _result(args, 0, f"clique of size {args.k} in {s.ring_name()}: {elems}", payload)
-    payload = {"inversion_set": list(s.primes), "k": args.k, "elements": None}
-    return _result(
-        args, 1, f"no clique of size {args.k} within exponent bound {args.bound}", payload
-    )
+        text = f"clique of size {args.k} in {s.ring_name()}: {elems}"
+        return 0, text, lambda: {**w.to_json_dict(), "k": args.k}
+    return 1, f"no clique of size {args.k} within exponent bound {args.bound}", lambda: {
+        "inversion_set": list(s.primes), "k": args.k, "elements": None
+    }
 
 
-def cmd_survey(args) -> CommandResult:
+def cmd_survey(args) -> Outcome:
     mode = SearchConfig.parse(args.mode)
     rows, agg = survey_run(
         args.pool,
@@ -287,7 +259,7 @@ def cmd_survey(args) -> CommandResult:
     )
     if written:
         text += "; wrote " + ", ".join(written)
-    payload = {
+    return 0, text, lambda: {
         "pool": args.pool,
         "size": args.size,
         "mode": mode.label,
@@ -295,7 +267,6 @@ def cmd_survey(args) -> CommandResult:
         "points": [list(p) for p in agg.points],
         "written": written,
     }
-    return _result(args, 0, text, payload)
 
 
 @functools.cache
@@ -389,14 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> CommandResult:
-    """Parse and run; maps input errors to exit 2 and resource limits to exit 3."""
+    """Parse and run; maps input errors to exit 2 and resource limits to exit 3.
+
+    The JSON body is built, inside the same error mapping, only for --json.
+    """
     args = build_parser().parse_args(_normalize_argv(argv))
     try:
-        return args.func(args)
+        code, text, body = args.func(args)
+        return CommandResult(code, text, body() if args.json else None)
     except SearchTooLarge as e:
-        return _result(args, 3, f"search too large: {e}", None)
-    except (ValueError, ZeroDivisionError) as e:
-        return _result(args, 2, f"error: {e}", None)
+        return CommandResult(3, f"search too large: {e}")
+    except (ValueError, ZeroDivisionError, OSError) as e:
+        return CommandResult(2, f"error: {e}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -406,13 +381,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed usage; normalize its exit code
         return 0 if e.code in (0, None) else 2
     try:
-        if res.exit_code in (0, 1):
-            if res.as_json and res.payload is not None:
-                print(json.dumps(res.payload, indent=2))
-            else:
-                print(res.text)
-        else:
+        if res.exit_code not in (0, 1):
             print(res.text, file=sys.stderr)
+        elif res.payload is not None:
+            print(json.dumps(res.payload, indent=2))
+        else:
+            print(res.text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (e.g. `| head`): exit 128 + SIGPIPE, with

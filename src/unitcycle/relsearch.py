@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .backends import CEILING_ENV  # noqa: F401  (read as relsearch.CEILING_ENV)
-from .backends import SearchTooLarge, resolve_ceiling, zero_quadruples
+from .backends import SearchTooLarge, refuse_pair_sums, resolve_ceiling, zero_quadruples
 from .exactnum import factor_over, is_probable_prime, radical
 from .sring import InversionSet, UnitTerm, json_array, term_from_json, term_to_json, term_value
 
@@ -189,9 +189,15 @@ class Relation:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Relation":
         s = InversionSet(json_array(d, "inversion_set"))
-        terms = tuple(term_from_json(t) for t in json_array(d, "terms"))
+        raw = json_array(d, "terms")
+        terms = tuple(term_from_json(t) for t in raw)
         values = tuple(int(term_value(t, s)) for t in terms)
-        return cls(s, terms, values)
+        rel = cls(s, terms, values)
+        # "value" is optional, but when given it must be the term's value.
+        for t, v in zip(raw, values):
+            if "value" in t and str(t["value"]) != str(v):
+                raise ValueError(f"term value {t['value']} does not match its exponents ({v})")
+        return rel
 
 
 def term_table(
@@ -230,8 +236,14 @@ def find_relations(
     """
     if len(s) == 0:
         raise ValueError("relation search needs a nonempty inversion set")
-    table = term_table(s, cfg.bound, ceiling=ceiling)
-    rows = zero_quadruples(table.keys(), ceiling=ceiling)
+    # The table will hold (bound+1)^n distinct terms.  Refuse their pair sums
+    # before it is built; term_table names the terms first if they are over.
+    limit = resolve_ceiling(ceiling)
+    count = (cfg.bound + 1) ** len(s)
+    if count <= limit:
+        refuse_pair_sums(count, limit)
+    table = term_table(s, cfg.bound, ceiling=limit)
+    rows = zero_quadruples(table.keys(), ceiling=limit)
     # One shared (frozen) UnitTerm per signed value that occurs in a row, not
     # four new ones per row.  Each is checked against its value here, and
     # each row below takes its terms by its own values, so every (term,

@@ -13,7 +13,8 @@ import pytest
 from unitcycle import cli, cycles, lenstra
 from unitcycle.avoidance import AbcPairReport, AvoidanceCertificate
 from unitcycle.cli import dispatch, main
-from unitcycle.cycles import CycleWitness, verify_cycle
+from unitcycle.cycles import CycleWitness, OrbitReport, verify_cycle
+from unitcycle.lenstra import CliqueWitness
 from unitcycle.relsearch import Relation
 from unitcycle.sring import InversionSet
 
@@ -23,6 +24,8 @@ H_POINTS = "-10,-5,-4,1"
 REL_3_JSON = json.dumps(
     Relation.from_signed_values(InversionSet.of(3), (3, -1, -1, -1)).to_json_dict()
 )
+# REL_3_JSON with its first term's "value" forged: 3^1 claimed to be 999.
+REL_3_FORGED_VALUE = REL_3_JSON.replace('"value": "3"', '"value": "999"', 1)
 
 # (argv, expected exit code, substring expected in the output text)
 EXIT_MATRIX = [
@@ -67,6 +70,11 @@ EXIT_MATRIX = [
         2,
         "malformed relation JSON: inversion_set must be a JSON array, got str",
     ),
+    (
+        ["bb-check", "--relation", REL_3_FORGED_VALUE, "--C", "1", "--eps", "1"],
+        2,
+        "error: term value 999 does not match its exponents (3)",
+    ),
     (["lenstra", "--ring", "2", "--k", "3", "--bound", "4"], 0, "clique of size 3"),
     (["lenstra", "--ring", "2", "--k", "4", "--bound", "20"], 1, "no clique of size 4"),
     (["survey", "--pool", "6", "--size", "5"], 0, "6 subsets"),
@@ -80,6 +88,30 @@ def test_exit_code_matrix(argv, code, fragment):
     res = dispatch(argv)
     assert res.exit_code == code, res.text
     assert fragment in res.text
+
+
+# Every exit-0 or exit-1 row, one or more per subcommand, as a text request.
+TEXT_ROWS = [(argv, code) for argv, code, _ in EXIT_MATRIX if code in (0, 1)]
+
+
+def test_text_rows_cover_every_subcommand():
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv, _ in TEXT_ROWS} == set(subcommands)
+
+
+@pytest.mark.parametrize("argv,code", TEXT_ROWS, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_text_request_builds_no_json(monkeypatch, capsys, argv, code):
+    expected = _run(capsys, argv)
+
+    def refuse(self):
+        raise AssertionError("a text request built a JSON body")
+
+    for record in (
+        Relation, CycleWitness, OrbitReport, AvoidanceCertificate, AbcPairReport, CliqueWitness
+    ):
+        monkeypatch.setattr(record, "to_json_dict", refuse)
+    assert _run(capsys, argv) == expected
+    assert expected[0] == code
 
 
 def test_ceiling_env_variable(monkeypatch):
@@ -120,6 +152,26 @@ def test_exit_3_stderr(monkeypatch, capsys, argv, stderr):
     monkeypatch.delenv("UNITCYCLE_CEILING", raising=False)
     assert main(argv) == 3
     assert capsys.readouterr() == ("", stderr)
+
+
+def test_pair_sums_refused_before_memory_runs_out():
+    # 200,001 terms fit the default ceiling, but their table alone would hold
+    # about 2.5 GB of digits.  Under a 1 GB address-space cap on the child,
+    # the pair-sum check must end the search before the table is built.
+    limit = 1 << 30
+    code = (
+        "import resource, runpy, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "runpy.run_module('unitcycle.cli', run_name='__main__')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "UNITCYCLE_CEILING"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "admits", "2", "--mode", "general:200000"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "search too large: 20000300001 pair sums exceed the ceiling 2000000\n"
 
 
 def test_unit_searches_refuse_before_building_units(monkeypatch):
@@ -261,6 +313,14 @@ class TestSurveyFiles:
         assert res.exit_code == 0
         assert csv_path.read_bytes().startswith(b"primes;min_gap;relation_count\n")
         assert svg_path.read_bytes().startswith(b"<svg ")
+
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_unwritable_path_is_an_input_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "out"
+        assert main(["survey", "--pool", "6", "--size", "5", flag, str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{path}'\n"
+        )
 
     def test_sampled_survey(self, tmp_path):
         res = dispatch(["survey", "--pool", "12", "--size", "5", "--sample", "10"])

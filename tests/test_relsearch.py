@@ -162,6 +162,16 @@ class TestRelation:
         rel = Relation.from_signed_values(s, (23, 1, 1, -25))
         assert Relation.from_json_dict(rel.to_json_dict()) == rel
 
+    def test_json_term_value_is_checked_when_present(self):
+        rel = Relation.from_signed_values(InversionSet.of(5, 7), (7, -5, -1, -1))
+        d = rel.to_json_dict()
+        del d["terms"][1]["value"]  # optional
+        d["terms"][2]["value"] = -1  # a JSON number is read like the string
+        assert Relation.from_json_dict(d) == rel
+        d["terms"][3]["value"] = "-5"
+        with pytest.raises(ValueError, match=r"^term value -5 does not match its exponents \(-1\)$"):
+            Relation.from_json_dict(d)
+
 
 # Direct construction over {5, 7}: the canonical relation 7 = 5 + 1 + 1 with
 # one thing spoiled per case, and the message of the check that catches it.
@@ -374,6 +384,17 @@ class TestFindRelations:
     def test_singleton_three(self):
         rels = find_relations(InversionSet.of(3), SearchConfig.general(1))
         assert (3, -1, -1, -1) in [r.values for r in rels]
+
+    def test_pair_sums_refused_before_the_term_table(self, monkeypatch):
+        # 60,001 terms fit the default ceiling; their 1,800,090,001 pair sums
+        # do not, and the table of 2^0..2^60000 is never built.
+        def no_table(*args, **kwargs):
+            raise AssertionError("the term table was built")
+
+        monkeypatch.delenv(CEILING_ENV, raising=False)
+        monkeypatch.setattr(relsearch, "term_table", no_table)
+        with pytest.raises(SearchTooLarge, match="^1800090001 pair sums exceed the ceiling 2000000$"):
+            find_relations(InversionSet.of(2), SearchConfig.general(60000))
 
     def test_singleton_five_empty(self):
         assert find_relations(InversionSet.of(5), SearchConfig.general(10)) == []
