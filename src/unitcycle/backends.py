@@ -16,15 +16,15 @@ keyed by v_b + v_c, and joins it twice: the members of each equal-key run
 with one another (2-2), and the differences v_a - v_d, looked up in it, with
 their matches (3-1).  Runs are read off the neighbours with equal keys, so
 only runs of two or more are expanded.  The differences come in pair order
-from the same two gathers of term keys as the sums.  Most of them match no
-sum, so a presence table of the sums (one flag per hash slot, two to four
-slots per sum) drops most of those first; each that passes takes one left
-search and an equality test, and only the hits take the right-side search
-that finds the end of their run.  Only the rows the join builds are mapped
-back through the sort order.  The python engine matches negated two-term sums:
-enumerate pairs (a <= b), bucket by sum, and join each bucket with its
-negation under the interleave constraint b <= c, which yields every sorted
-quadruple exactly once.
+from the same term keys as the sums.  Most of them match no sum, so a
+presence table of the sums (one flag per hash slot, 16 to 32 slots per sum
+up to 128 KB of flags, two to four in larger tables) drops most of those
+first; each that passes takes one left search and an equality test,
+and only the hits take the right-side search that finds the end of their
+run.  Only the rows the join builds are mapped back through the sort order.
+The python engine matches negated two-term sums: enumerate pairs (a <= b),
+bucket by sum, and join each bucket with its negation under the interleave
+constraint b <= c, which yields every sorted quadruple exactly once.
 
 Two interchangeable engines:
 
@@ -196,14 +196,23 @@ def _slots(keys: np.ndarray, bits: int) -> np.ndarray:
     return slots.view(np.int64)
 
 
+# The largest presence table that gives a key more than two to four slots:
+# 2^17 one-byte flags, 128 KB.  A larger table cost more to fill and probe
+# than its fewer false probes saved (2^19 flags on 32,896 keys).
+_PRESENCE_BITS = 17
+
+
 def _maybe_members(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """The indices, ascending, of the probes whose hash slot holds some key.
 
-    The presence table has one flag per slot and two to four slots per key.
-    A probe equal to a key has that key's slot, so this drops no member; the
-    probes it keeps that are not members are for the caller's exact test.
+    The presence table has one flag per slot: 16 to 32 slots per key while
+    that fits in 2**_PRESENCE_BITS flags, fewer up to that size, and never
+    fewer than two to four.  A probe equal to a key has that key's slot, so
+    this drops no member; the probes it keeps that are not members are for
+    the caller's exact test.
     """
-    bits = len(keys).bit_length() + 1
+    k = len(keys).bit_length()
+    bits = max(k + 1, min(k + 4, _PRESENCE_BITS))
     present = np.zeros(1 << bits, dtype=bool)
     present[_slots(keys, bits)] = True
     return present[_slots(probes, bits)].nonzero()[0]
@@ -244,9 +253,14 @@ def _ranked_rows(vals: list[int]) -> np.ndarray:
     # docstring says why: heap trim and page faults).  Only the rows the join
     # builds are mapped back through `order`; b and c stay in pair order.
     b, c = _pair_table(n)
-    # The two key gathers give both the sums and, in pair order, the 3-1
-    # differences v_b - v_c = 2 v_b - (v_b + v_c), with no third array.
-    sums = key[b]
+    # The b-side and c-side keys give both the sums and, in pair order, the
+    # 3-1 differences v_b - v_c = 2 v_b - (v_b + v_c), with no third array.
+    # The b-side keys repeat as b's values do, because numpy gathers through
+    # an int32 index several times slower than through an intp one.  The
+    # c-side keeps the int32 gather: an intp copy of c saved 15 us on 125
+    # terms but cost 190 us on 256, where its extra table-sized block is
+    # trimmed from the heap and faulted in again on every call.
+    sums = key.repeat(n - np.arange(n))
     diffs = key[c]
     sums += diffs
     diffs *= -2
@@ -313,8 +327,12 @@ def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     # ints.  Every array of the join is freed before the gather starts, so
     # this phase, the search's peak, reuses their memory: on medium the
     # kernel peaks at 130 MB RSS, and at 162 MB with them held to the end.
+    # The rows are zipped from the four object columns, with no list per
+    # row (the large kernel peaked at 308 MB with one, 220 MB without) and
+    # no list per column, whose heap blocks stay resident under the result
+    # (9.5 MB more peak RSS for medium's find_relations).
     quads = np.array([-x for x in vals] + vals[::-1], dtype=object)[_ranked_rows(vals)]
-    return list(map(tuple, quads[:, quads.sum(axis=0) == 0].T.tolist()))
+    return list(zip(*quads[:, quads.sum(axis=0) == 0]))
 
 
 def zero_quadruples(

@@ -135,7 +135,7 @@ def _check_values(values: Sequence[int]) -> None:
         raise ValueError("relation values must be ints")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """A canonical subsum-free vanishing quadruple of signed prime-power terms.
 
@@ -143,8 +143,9 @@ class Relation:
     construction (and so `from_signed_values`, `from_json_dict` and every
     certificate's `verify()`) checks each (term, value) pair with
     `_check_term`, then the values with `_check_values`.  `find_relations`
-    runs the same two checks on its own path: `_check_term` once per distinct
-    signed value of the search, `_check_values` on every row.
+    runs the same checks on its own path: `_check_term`'s exponent and
+    product checks once per distinct magnitude of the search, the value
+    comparison once per distinct signed value, `_check_values` on every row.
     """
 
     inversion_set: InversionSet
@@ -230,7 +231,8 @@ def find_relations(
     canonical value quadruple, independent of the backend in use.
 
     Every returned relation has passed every check of `Relation`.  Each
-    distinct term is checked once, before any row, so a faulty kernel or
+    distinct term is checked before any row (its exponents and product once
+    per magnitude, its value once per signed value), so a faulty kernel or
     term table reports a bad term before a bad row; the messages are those
     of direct construction.
     """
@@ -245,16 +247,33 @@ def find_relations(
     table = term_table(s, cfg.bound, ceiling=limit)
     rows = zero_quadruples(table.keys(), ceiling=limit)
     # One shared (frozen) UnitTerm per signed value that occurs in a row, not
-    # four new ones per row.  Each is checked against its value here, and
-    # each row below takes its terms by its own values, so every (term,
-    # value) pair of every relation is checked; _check_values checks the
-    # rest.  The object is then filled in as Relation.__init__ would, without
-    # checking the same terms again for every row.
-    terms = {}
-    for v in set(itertools.chain.from_iterable(rows)):
-        t = terms[v] = UnitTerm(1 if v > 0 else -1, table[abs(v)])
-        _check_term(s.primes, t, v)
+    # four new ones per row.  _check_term's exponent checks and product run
+    # once per magnitude, inline because a call per term cost as much as the
+    # checks.  The term of each sign that occurs is then filled in as
+    # UnitTerm.__init__ would (term_table's exponents are already tuples of
+    # ints, and the sign is +-1 by construction), and sign * product is
+    # compared with its value.  Each row below takes its terms by its own
+    # values, so every (term, value) pair of every relation is checked;
+    # _check_values checks the rest.  Each Relation is then filled in as
+    # Relation.__init__ would, without checking the same terms again.
+    primes = s.primes
+    signed = set(itertools.chain.from_iterable(rows))
     new, set_field = object.__new__, object.__setattr__
+    terms = {}
+    for m in {abs(v) for v in signed}:
+        exps = table[m]
+        if exps and min(exps) < 0:
+            raise ValueError("relation exponents must be nonnegative")
+        if len(exps) != len(primes):
+            raise ValueError("exponent vector length does not match inversion set")
+        product = math.prod(map(pow, primes, exps))
+        for v in (m, -m):
+            if v in signed:
+                t = terms[v] = new(UnitTerm)
+                set_field(t, "sign", 1 if v > 0 else -1)
+                set_field(t, "exponents", exps)
+                if t.sign * product != v:
+                    raise ValueError(f"term {t} does not evaluate to {v}")
     out = []
     for row in rows:
         _check_values(row)

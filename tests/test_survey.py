@@ -68,6 +68,16 @@ class TestSurveyRun:
             survey_run(6, 5)
         assert "--full" in str(e.value) or "full=True" in str(e.value)
 
+    def test_subset_ceiling_boundary(self, monkeypatch):
+        # survey_run(6, 5) has 6 subsets: a ceiling of 6 runs every one, and
+        # a ceiling of 5 refuses them.
+        monkeypatch.setattr(survey_module, "SUBSET_CEILING", 6)
+        rows, _ = survey_run(6, 5)
+        assert len(rows) == 6
+        monkeypatch.setattr(survey_module, "SUBSET_CEILING", 5)
+        with pytest.raises(SearchTooLarge, match="^6 subsets exceed the ceiling 5; "):
+            survey_run(6, 5)
+
     def test_full_overrides_ceiling(self, monkeypatch):
         monkeypatch.setattr(survey_module, "SUBSET_CEILING", 3)
         rows, _ = survey_run(6, 5, full=True)
