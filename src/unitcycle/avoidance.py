@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .exactnum import is_probable_prime, next_prime
+from .exactnum import next_prime, require_prime
 from .relsearch import SearchConfig, term_table
 from .sring import InversionSet, json_array
 
@@ -41,8 +41,7 @@ class InequalityCheck:
 
     def verify(self) -> bool:
         """Recompute the comparison from the stored operands."""
-        truth = self.lhs < self.rhs if self.relation == "<" else self.lhs > self.rhs
-        return truth == self.passed
+        return InequalityCheck.of(self.name, self.lhs, self.relation, self.rhs) == self
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,9 +172,7 @@ def check_ordering_hypothesis(p1: int, p2: int, m: int) -> bool:
         raise ValueError("the ordering hypothesis needs m > 7")
     if not (p1 < p2):
         raise ValueError("need p1 < p2")
-    for p in (p1, p2):
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
+    require_prime(p1, p2)
     return all(c.passed for c in _ordering_checks(p1, p2, m))
 
 

@@ -359,15 +359,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _without_digit_limit(build: Callable[[], dict]) -> dict:
+    """build(), with the int-to-str digit limit (from Python 3.10.7) lifted meanwhile,
+    so that operands of any length are written in full."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return build()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return build()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def dispatch(argv: list[str]) -> CommandResult:
     """Parse and run; maps input errors to exit 2 and resource limits to exit 3.
 
-    The JSON body is built, inside the same error mapping, only for --json.
+    The JSON body is built, inside the same error mapping, only for --json,
+    with no limit on the digits of its integers.
     """
     args = build_parser().parse_args(_normalize_argv(argv))
     try:
         code, text, body = args.func(args)
-        return CommandResult(code, text, body() if args.json else None)
+        return CommandResult(code, text, _without_digit_limit(body) if args.json else None)
     except SearchTooLarge as e:
         return CommandResult(3, f"search too large: {e}")
     except (ValueError, ZeroDivisionError, OSError) as e:

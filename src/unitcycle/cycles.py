@@ -118,6 +118,16 @@ class CycleWitness:
         )
 
 
+def _four_points(points: Sequence[Rational]) -> tuple[Fraction, ...]:
+    """The points as Fractions, refused unless there are four distinct ones."""
+    xs = tuple(Fraction(x) for x in points)
+    if len(xs) != 4:
+        raise ValueError("exactly four points required")
+    if len(set(xs)) != 4:
+        raise ValueError("points must be pairwise distinct")
+    return xs
+
+
 def lagrange_cycle_poly(
     points: Sequence[Rational], s: InversionSet
 ) -> CycleWitness:
@@ -126,11 +136,7 @@ def lagrange_cycle_poly(
     Uses Newton's divided differences (denominators stay products of point
     differences, which keeps intermediate values small and exact).
     """
-    xs = tuple(Fraction(x) for x in points)
-    if len(xs) != 4:
-        raise ValueError("exactly four points required")
-    if len(set(xs)) != 4:
-        raise ValueError("points must be pairwise distinct")
+    xs = _four_points(points)
     for x in xs:
         _require_member(x, s, "point")
     ys = tuple(xs[(i + 1) % 4] for i in range(4))
@@ -269,9 +275,5 @@ def zieve_unit_search(
 
 def relation_from_cycle(points: Sequence[Rational]) -> tuple[Fraction, ...]:
     """The four signed differences a cycle induces: x2-x1, x3-x2, x4-x3, x1-x4."""
-    xs = tuple(Fraction(x) for x in points)
-    if len(xs) != 4:
-        raise ValueError("exactly four points required")
-    if len(set(xs)) != 4:
-        raise ValueError("points must be pairwise distinct")
+    xs = _four_points(points)
     return (xs[1] - xs[0], xs[2] - xs[1], xs[3] - xs[2], xs[0] - xs[3])

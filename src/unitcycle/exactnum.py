@@ -57,6 +57,13 @@ def is_probable_prime(n: int) -> bool:
     return all(_strong_round(n, d, s, a) for a in witnesses)
 
 
+def require_prime(*candidates: int) -> None:
+    """Raise ValueError naming the first candidate that is not prime."""
+    for p in candidates:
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+
+
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n.  Requires n >= 1."""
     if n < 1:

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from .backends import CEILING_ENV  # noqa: F401  (read as relsearch.CEILING_ENV)
 from .backends import SearchTooLarge, refuse_pair_sums, resolve_ceiling, zero_quadruples
-from .exactnum import factor_over, is_probable_prime, radical
+from .exactnum import factor_over, is_probable_prime, radical, require_prime
 from .sring import InversionSet, UnitTerm, json_array, term_from_json, term_to_json, term_value
 
 Rational = Union[int, Fraction]
@@ -97,17 +97,21 @@ def canonicalize_values(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(vs)
 
 
-def _check_term(primes: tuple[int, ...], t: UnitTerm, v: int) -> None:
-    """Refuse a term with a negative exponent, the wrong exponent count, or
-    a value other than v."""
-    exps = t.exponents
+def _term_product(primes: tuple[int, ...], exps: tuple[int, ...]) -> int:
+    """prod(p**e), after refusing a negative exponent or the wrong exponent count.
+
+    With every exponent nonnegative this is the term's magnitude as an int.
+    """
     if exps and min(exps) < 0:
         raise ValueError("relation exponents must be nonnegative")
     if len(exps) != len(primes):
         raise ValueError("exponent vector length does not match inversion set")
-    # With every exponent nonnegative, term_value(t, s) is this int
-    # product: its denominator is 1.
-    if t.sign * math.prod(map(pow, primes, exps)) != v:
+    return math.prod(map(pow, primes, exps))
+
+
+def _check_term(t: UnitTerm, v: int, product: int) -> None:
+    """Refuse a term whose value, t.sign * product, is not v."""
+    if t.sign * product != v:
         raise ValueError(f"term {t} does not evaluate to {v}")
 
 
@@ -142,10 +146,8 @@ class Relation:
     Every relation has passed every check, and its values are ints.  Direct
     construction (and so `from_signed_values`, `from_json_dict` and every
     certificate's `verify()`) checks each (term, value) pair with
-    `_check_term`, then the values with `_check_values`.  `find_relations`
-    runs the same checks on its own path: `_check_term`'s exponent and
-    product checks once per distinct magnitude of the search, the value
-    comparison once per distinct signed value, `_check_values` on every row.
+    `_term_product` and `_check_term`, then the values with `_check_values`.
+    `find_relations` calls the same three functions on its own path.
     """
 
     inversion_set: InversionSet
@@ -158,7 +160,7 @@ class Relation:
         if len(self.terms) != 4 or len(values) != 4:
             raise ValueError("a relation has exactly four terms")
         for t, v in zip(self.terms, values):
-            _check_term(primes, t, v)
+            _check_term(t, v, _term_product(primes, t.exponents))
         _check_values(values)
 
     @classmethod
@@ -230,11 +232,11 @@ def find_relations(
     Complete and duplicate-free; rows are ordered lexicographically by their
     canonical value quadruple, independent of the backend in use.
 
-    Every returned relation has passed every check of `Relation`.  Each
-    distinct term is checked before any row (its exponents and product once
-    per magnitude, its value once per signed value), so a faulty kernel or
-    term table reports a bad term before a bad row; the messages are those
-    of direct construction.
+    Every returned relation has passed every check of `Relation`, through
+    the same functions: `_term_product` once per magnitude, `_check_term`
+    once per signed value and `_check_values` on every row.  Terms are
+    checked before any row, so a faulty kernel or term table reports a bad
+    term before a bad row.
     """
     if len(s) == 0:
         raise ValueError("relation search needs a nonempty inversion set")
@@ -246,34 +248,24 @@ def find_relations(
         refuse_pair_sums(count, limit)
     table = term_table(s, cfg.bound, ceiling=limit)
     rows = zero_quadruples(table.keys(), ceiling=limit)
-    # One shared (frozen) UnitTerm per signed value that occurs in a row, not
-    # four new ones per row.  _check_term's exponent checks and product run
-    # once per magnitude, inline because a call per term cost as much as the
-    # checks.  The term of each sign that occurs is then filled in as
-    # UnitTerm.__init__ would (term_table's exponents are already tuples of
-    # ints, and the sign is +-1 by construction), and sign * product is
-    # compared with its value.  Each row below takes its terms by its own
-    # values, so every (term, value) pair of every relation is checked;
-    # _check_values checks the rest.  Each Relation is then filled in as
-    # Relation.__init__ would, without checking the same terms again.
+    # One shared (frozen) UnitTerm per signed value that occurs in a row,
+    # filled in as UnitTerm.__init__ would (term_table's exponents are tuples
+    # of ints and the sign is +-1 by construction).  Each row takes its terms
+    # by its own values, so every (term, value) pair of every relation is
+    # checked, and each Relation is filled in as Relation.__init__ would.
     primes = s.primes
     signed = set(itertools.chain.from_iterable(rows))
     new, set_field = object.__new__, object.__setattr__
     terms = {}
     for m in {abs(v) for v in signed}:
         exps = table[m]
-        if exps and min(exps) < 0:
-            raise ValueError("relation exponents must be nonnegative")
-        if len(exps) != len(primes):
-            raise ValueError("exponent vector length does not match inversion set")
-        product = math.prod(map(pow, primes, exps))
+        product = _term_product(primes, exps)
         for v in (m, -m):
             if v in signed:
                 t = terms[v] = new(UnitTerm)
                 set_field(t, "sign", 1 if v > 0 else -1)
                 set_field(t, "exponents", exps)
-                if t.sign * product != v:
-                    raise ValueError(f"term {t} does not evaluate to {v}")
+                _check_term(t, v, product)
     out = []
     for row in rows:
         _check_values(row)
@@ -314,16 +306,13 @@ def singleton_mod_obstruction(p: int) -> bool:
     those hold, i.e. the obstruction applies and {p} admits no relation for
     any exponent bound.
     """
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return all(r % p != 0 for r in (1, 2, 3))
 
 
 def ap_relation(p1: int, p2: int, p3: int) -> Relation:
     """The relation p3 - p2 - p2 + p1 = 0 for primes in arithmetic progression."""
-    for p in (p1, p2, p3):
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
+    require_prime(p1, p2, p3)
     if not (p1 < p2 < p3):
         raise ValueError("need p1 < p2 < p3")
     if p2 - p1 != p3 - p2:
@@ -346,8 +335,7 @@ def doubleton_family(p: int, family: str, n: int | None = None) -> Relation:
 
     Raises when p or the partner is not prime (family inapplicable).
     """
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if family == TWIN:
         partner = p + 2
         values = (partner, -1, -1, -p)

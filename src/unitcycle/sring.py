@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .exactnum import cofactor_over, is_probable_prime
+from .exactnum import cofactor_over, require_prime
 
 Rational = Union[int, Fraction]
 
@@ -29,9 +29,7 @@ class InversionSet:
         object.__setattr__(self, "primes", ps)
         if list(ps) != sorted(set(ps)):
             raise ValueError("primes must be strictly increasing with no repeats")
-        for p in ps:
-            if not is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
+        require_prime(*ps)
 
     @classmethod
     def of(cls, *primes: int) -> "InversionSet":

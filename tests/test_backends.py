@@ -352,18 +352,22 @@ class TestLookup:
         assert first.tolist() == [3, 1]
 
     def test_filter_false_positives_are_not_hits(self):
-        # With 16 to 32 slots per key, about one non-member in 30 still
-        # shares a key's slot and passes the filter (114 of these 3,000);
-        # the exact search must drop every one.
+        # key - M^-1 mod 2^64, with M the odd hash multiplier, hashes to the
+        # key's hash minus 1.  For 0 < key < 2^20 the key's hash has a set
+        # bit among its low 44, so the subtraction borrows nothing from the
+        # top 20 bits: the probe shares the key's slot in any table of up
+        # to 2^20 slots and passes the filter.  It is not a key, and the
+        # exact search must drop every one.
         rng = random.Random(16)
-        keys = rng.sample(range(10**6), 300)
-        key_set = set(keys)
-        others = [v for v in rng.sample(range(10**6), 3000) if v not in key_set]
+        keys = rng.sample(range(1, 10**6), 300)
+        step = -pow(int(backends._HASH_MULT), -1, 2**64) % 2**64
+        others = [k + step for k in keys]
+        assert not set(others) & set(keys) and max(others) < self.P
         probes = others + keys[::3]
         passed = backends._maybe_members(
             np.array(keys, dtype=np.int64), np.array(probes, dtype=np.int64)
         ).tolist()
-        assert sum(i < len(others) for i in passed) > 100
+        assert passed == list(range(len(probes)))
         table = sorted(keys)
         hits, first = self.lookup(keys, probes)
         assert hits == list(range(len(others), len(probes)))

@@ -247,6 +247,29 @@ class TestJsonPayloads:
         rep = AbcPairReport.from_json_dict(res.payload)
         assert rep.all_pass and rep.verify()
 
+    def test_abc_report_writes_operands_past_the_digit_limit(self, capsys):
+        # From m = 16 the ordering-window operands pass str()'s default
+        # 4,300-digit limit.  The writer lifts it around the JSON builder
+        # only; the reader keeps it, so the test lifts it to read back.
+        has_limit = hasattr(sys, "get_int_max_str_digits")
+        before = sys.get_int_max_str_digits() if has_limit else None
+        assert main(["abc-pair", "--C", "1", "--m", "16", "--json"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        digits = max(len(c[side]) for c in body["checks"] for side in ("lhs", "rhs"))
+        assert digits > 4300
+        if not has_limit:
+            assert AbcPairReport.from_json_dict(body).verify() is True
+            return
+        assert sys.get_int_max_str_digits() == before
+        if 0 < before < digits:
+            with pytest.raises(ValueError, match="digits"):
+                AbcPairReport.from_json_dict(body)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert AbcPairReport.from_json_dict(body).verify() is True
+        finally:
+            sys.set_int_max_str_digits(before)
+
     def test_interpolate_large_bad_prime(self):
         big = 1000000000000000009
         res = dispatch(["interpolate", f"1/{big},2,3,4", "--ring", "3", "--json"])

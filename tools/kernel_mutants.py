@@ -1,12 +1,22 @@
-"""Mutation gate for the numpy engine's join and the relation search's term checks.
+"""Mutation gate for the numpy join and the checks at the package's trust
+boundaries.
 
-Each mutant below breaks one rule of the numpy engine (`_ranked_rows` and
-`_zero_quads_numpy` in `src/unitcycle/backends.py`) or of the term checks
-that `find_relations` runs (`src/unitcycle/relsearch.py`).  For each one this
+Each mutant below breaks one rule: of the numpy engine's join, input check
+and pair-sum ceiling (`src/unitcycle/backends.py`); of the term table's and
+the survey's ceilings (`relsearch.py`, `survey.py`); of the term and row
+checks that every `Relation` passes, and the relation JSON reader
+(`relsearch.py`); of the prime, sign and JSON-array checks (`exactnum.py`,
+`sring.py`); of the certificate checks (`avoidance.py`, `cycles.py`,
+`lenstra.py`); or of the CLI's error mapping (`cli.py`).  For each one this
 script copies the package to a temporary directory, applies the mutation to
 the named file of the copy, and runs the mutant's test files against the
 copy.  Every mutant must make those tests fail; a mutant that passes means
 the tests no longer pin that rule.  The unmutated copy must pass first.
+
+Not covered: `exactnum._RANDOM_ROUNDS`, the Miller-Rabin rounds above the
+deterministic bound.  Cutting it from 64 to 1 changes no answer that a test
+can see, because a composite that fools one random round is too rare to
+find, so it has no mutant here.
 
 Run:
 
@@ -30,10 +40,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "unitcycle"
 KERNEL_TESTS = ("tests/test_backends.py", "tests/test_relsearch.py")
 RELSEARCH_TESTS = ("tests/test_relsearch.py",)
+BACKEND_TESTS = ("tests/test_backends.py",)
+AVOIDANCE_TESTS = ("tests/test_avoidance.py",)
+CYCLES_TESTS = ("tests/test_cycles.py",)
+SRING_TESTS = ("tests/test_sring.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 
 # (name, file in the package, text in that file, replacement, test files):
 # each text occurs exactly once in its file.
 MUTANTS = [
+    # The numpy join.
     (
         "c < d for c <= d",
         "backends.py",
@@ -83,6 +99,36 @@ MUTANTS = [
         "hit = found",
         KERNEL_TESTS,
     ),
+    # The search's input check and ceilings.
+    (
+        "zero_quadruples input check dropped",
+        "backends.py",
+        "if any(v <= 0 for v in vs) or len(set(vs)) != len(vs):",
+        "if False:",
+        BACKEND_TESTS,
+    ),
+    (
+        "pair-sum ceiling off by one",
+        "backends.py",
+        "if npairs > limit:",
+        "if npairs > limit + 1:",
+        BACKEND_TESTS,
+    ),
+    (
+        "term-table ceiling off by one",
+        "relsearch.py",
+        "if count > limit:",
+        "if count > limit + 1:",
+        CLI_TESTS,
+    ),
+    (
+        "survey subset ceiling off by one",
+        "survey.py",
+        "total > SUBSET_CEILING:",
+        "total > SUBSET_CEILING + 1:",
+        ("tests/test_survey.py",),
+    ),
+    # The term and row checks that every Relation passes.
     (
         "term product comparison dropped",
         "relsearch.py",
@@ -93,8 +139,15 @@ MUTANTS = [
     (
         "term nonnegative-exponent test dropped",
         "relsearch.py",
-        "exps = table[m]\n        if exps and min(exps) < 0:",
-        "exps = table[m]\n        if False:",
+        "if exps and min(exps) < 0:",
+        "if False:",
+        RELSEARCH_TESTS,
+    ),
+    (
+        "term exponent-count test dropped",
+        "relsearch.py",
+        "if len(exps) != len(primes):",
+        "if False:",
         RELSEARCH_TESTS,
     ),
     (
@@ -103,6 +156,128 @@ MUTANTS = [
         'set_field(t, "sign", 1 if v > 0 else -1)',
         'set_field(t, "sign", 1)',
         RELSEARCH_TESTS,
+    ),
+    (
+        "row vanishing-pair test dropped",
+        "relsearch.py",
+        "if a + b == 0 or a + c == 0 or a + d == 0:",
+        "if False:",
+        RELSEARCH_TESTS,
+    ),
+    (
+        "row canonical-order test dropped",
+        "relsearch.py",
+        "isinstance(values, tuple) and a >= abs(b) >= abs(c) >= abs(d)",
+        "isinstance(values, tuple)",
+        RELSEARCH_TESTS,
+    ),
+    (
+        "row int test dropped",
+        "relsearch.py",
+        "isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)",
+        "True",
+        RELSEARCH_TESTS,
+    ),
+    (
+        "relation JSON value check dropped",
+        "relsearch.py",
+        """if "value" in t and str(t["value"]) != str(v):""",
+        "if False:",
+        RELSEARCH_TESTS,
+    ),
+    # Rings, terms and JSON input.
+    (
+        "require_prime test dropped",
+        "exactnum.py",
+        "if not is_probable_prime(p):",
+        "if False:",
+        SRING_TESTS,
+    ),
+    (
+        "json_array array check dropped",
+        "sring.py",
+        "if not isinstance(value, list):",
+        "if False:",
+        SRING_TESTS,
+    ),
+    (
+        "UnitTerm sign check dropped",
+        "sring.py",
+        "if self.sign not in (-1, 1):",
+        "if False:",
+        SRING_TESTS,
+    ),
+    # Certificates.
+    (
+        "InequalityCheck comparison reversed",
+        "avoidance.py",
+        'passed = lhs < rhs if relation == "<" else lhs > rhs',
+        'passed = lhs > rhs if relation == "<" else lhs < rhs',
+        AVOIDANCE_TESTS,
+    ),
+    (
+        "InequalityCheck.verify compares nothing",
+        "avoidance.py",
+        "return InequalityCheck.of(self.name, self.lhs, self.relation, self.rhs) == self",
+        "return True",
+        AVOIDANCE_TESTS,
+    ),
+    (
+        "InequalityCheck JSON bool check dropped",
+        "avoidance.py",
+        "if not isinstance(passed, bool):",
+        "if False:",
+        AVOIDANCE_TESTS,
+    ),
+    (
+        "AvoidanceCertificate size check dropped",
+        "avoidance.py",
+        "if n != (self.mode.bound + 1) ** len(self.inversion_set):",
+        "if False:",
+        AVOIDANCE_TESTS,
+    ),
+    (
+        "AbcPairReport rebuild dropped",
+        "avoidance.py",
+        "return abc_pair(self.c, self.m, self.p1 - 1) == self",
+        "return True",
+        AVOIDANCE_TESTS,
+    ),
+    (
+        "four-point distinctness test dropped",
+        "cycles.py",
+        "if len(set(xs)) != 4:",
+        "if False:",
+        CYCLES_TESTS,
+    ),
+    (
+        "verify_cycle repeated-point test dropped",
+        "cycles.py",
+        "if len(set(w.points)) != 4:",
+        "if False:",
+        CYCLES_TESTS,
+    ),
+    (
+        "verify_cycle coefficient-membership test dropped",
+        "cycles.py",
+        "if not is_member(c, w.inversion_set):",
+        "if False:",
+        CYCLES_TESTS,
+    ),
+    (
+        "CliqueWitness distinctness test dropped",
+        "lenstra.py",
+        "if len(set(self.elements)) != len(self.elements):",
+        "if False:",
+        ("tests/test_lenstra.py",),
+    ),
+    # The CLI's error mapping.
+    (
+        "dispatch OSError mapping dropped",
+        "cli.py",
+        "except (ValueError, ZeroDivisionError, OSError) as e:",
+        "except (ValueError, ZeroDivisionError) as e:",
+        CLI_TESTS,
     ),
 ]
 
