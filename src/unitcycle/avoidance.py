@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .exactnum import next_prime, require_prime
 from .relsearch import SearchConfig, term_table
-from .sring import InversionSet, json_array
+from .sring import InversionSet, json_array, json_exact
 
 Rational = Union[int, Fraction]
 
@@ -57,7 +57,8 @@ class InequalityCheck:
         passed = d["pass"]
         if not isinstance(passed, bool):
             raise TypeError(f"pass must be a JSON bool, got {type(passed).__name__}")
-        return cls(d["name"], int(d["lhs"]), int(d["rhs"]), d["relation"], passed)
+        lhs, rhs = json_exact(d["lhs"], "lhs"), json_exact(d["rhs"], "rhs")
+        return cls(d["name"], lhs, rhs, d["relation"], passed)
 
 
 class SeparationCounterexample(NamedTuple):
@@ -94,9 +95,9 @@ class AvoidanceCertificate:
     @classmethod
     def from_json_dict(cls, d: dict) -> "AvoidanceCertificate":
         return cls(
-            InversionSet(json_array(d, "inversion_set")),
+            InversionSet(json_array(d, "inversion_set", int)),
             SearchConfig.parse(d["mode"]),
-            tuple(int(v) for v in json_array(d, "products")),
+            tuple(json_array(d, "products", int)),
             tuple(InequalityCheck.from_json_dict(c) for c in json_array(d, "checks")),
         )
 
@@ -183,28 +184,24 @@ def verify_ordering_conclusion(
 
     Keys are compared exactly as integers m*l + l + m*k.  Wherever two listed
     exponent pairs have different keys, the actual product values must be
-    ordered the same way.  Requires the ordering hypothesis; raises if it
-    fails.
+    ordered the same way.  Each pair's key and product are computed once.
+    Requires the ordering hypothesis; raises if it fails.
     """
     if not check_ordering_hypothesis(p1, p2, m):
         raise ValueError(
             f"ordering hypothesis fails for p1={p1}, p2={p2}, m={m}"
         )
-    normalized = []
+    keyed = []
     for k, ell in pairs:
         if k < 0 or ell < 0 or ell >= m:
             raise ValueError(f"exponent pair ({k}, {ell}) out of range (need l < m)")
-        normalized.append((int(k), int(ell)))
-    for (k1, l1), (k2, l2) in itertools.combinations(normalized, 2):
-        key1 = m * l1 + l1 + m * k1
-        key2 = m * l2 + l2 + m * k2
-        if key1 == key2:
-            continue
-        v1 = p1**k1 * p2**l1
-        v2 = p1**k2 * p2**l2
-        if (key1 < key2) != (v1 < v2):
-            return False
-    return True
+        k, ell = int(k), int(ell)
+        keyed.append((m * ell + ell + m * k, p1**k * p2**ell))
+    return all(
+        (key1 < key2) == (v1 < v2)
+        for (key1, v1), (key2, v2) in itertools.combinations(keyed, 2)
+        if key1 != key2
+    )
 
 
 @dataclass(frozen=True)
@@ -246,10 +243,10 @@ class AbcPairReport:
     @classmethod
     def from_json_dict(cls, d: dict) -> "AbcPairReport":
         return cls(
-            Fraction(d["C"]),
-            int(d["m"]),
-            int(d["p1"]),
-            int(d["p2"]),
+            json_exact(d["C"], "C", Fraction),
+            json_exact(d["m"], "m"),
+            json_exact(d["p1"], "p1"),
+            json_exact(d["p2"], "p2"),
             tuple(InequalityCheck.from_json_dict(c) for c in json_array(d, "checks")),
         )
 

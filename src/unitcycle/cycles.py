@@ -112,9 +112,9 @@ class CycleWitness:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CycleWitness":
         return cls(
-            InversionSet(json_array(d, "inversion_set")),
-            tuple(Fraction(x) for x in json_array(d, "points")),
-            RationalPolynomial(json_array(d, "coefficients")),
+            InversionSet(json_array(d, "inversion_set", int)),
+            tuple(json_array(d, "points", Fraction)),
+            RationalPolynomial(json_array(d, "coefficients", Fraction)),
         )
 
 
@@ -134,41 +134,24 @@ def lagrange_cycle_poly(
     """Unique cubic f with f(x_i) = x_{i+1 mod 4}, coefficients checked in the ring.
 
     Uses Newton's divided differences (denominators stay products of point
-    differences, which keeps intermediate values small and exact).
+    differences, which keeps intermediate values small and exact).  They are
+    computed in place in one list, b[i] = f[x_{i-j}..x_i] after level j, and
+    the Newton form b0 + (x-x0)(b1 + (x-x1)(b2 + (x-x2)b3)) is expanded in
+    the same list from the inside out, leaving b[i] the coefficient of x^i.
     """
     xs = _four_points(points)
     for x in xs:
         _require_member(x, s, "point")
-    ys = tuple(xs[(i + 1) % 4] for i in range(4))
-
-    # Divided-difference table; level j holds f[x_i..x_{i+j}].
-    table = [list(ys)]
+    b = [xs[1], xs[2], xs[3], xs[0]]
     for j in range(1, 4):
-        prev = table[-1]
-        table.append(
-            [
-                (prev[i + 1] - prev[i]) / (xs[i + j] - xs[i])
-                for i in range(4 - j)
-            ]
-        )
-    newton = [table[j][0] for j in range(4)]
-
-    # Expand b0 + b1(x-x0) + b2(x-x0)(x-x1) + b3(x-x0)(x-x1)(x-x2).
-    coeffs = [Fraction(0)] * 4
-    basis = [Fraction(1)]
-    for j in range(4):
-        for d, b in enumerate(basis):
-            coeffs[d] += newton[j] * b
-        if j < 3:
-            # basis *= (x - xs[j])
-            shifted = [Fraction(0)] + basis
-            basis = [
-                shifted[d] - (basis[d] if d < len(basis) else 0) * xs[j]
-                for d in range(len(shifted))
-            ]
-    for i, c in enumerate(coeffs):
+        for i in range(3, j - 1, -1):
+            b[i] = (b[i] - b[i - 1]) / (xs[i] - xs[i - j])
+    for k in (2, 1, 0):
+        for i in range(k, 3):
+            b[i] -= xs[k] * b[i + 1]
+    for i, c in enumerate(b):
         _require_member(c, s, f"coefficient of x^{i}")
-    return CycleWitness(s, xs, RationalPolynomial(tuple(coeffs)))
+    return CycleWitness(s, xs, RationalPolynomial(tuple(b)))
 
 
 class VerifyResult(NamedTuple):

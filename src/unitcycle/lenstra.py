@@ -41,8 +41,8 @@ class CliqueWitness:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CliqueWitness":
         return cls(
-            InversionSet(json_array(d, "inversion_set")),
-            tuple(Fraction(x) for x in json_array(d, "elements")),
+            InversionSet(json_array(d, "inversion_set", int)),
+            tuple(json_array(d, "elements", Fraction)),
         )
 
 
@@ -121,7 +121,12 @@ def z2_four_clique_obstruction(bound: int) -> bool:
 
 
 def is_b_smooth(n: int, b: int) -> bool:
-    """True iff every prime factor of n is <= b.  Requires n >= 1."""
+    """True iff every prime factor of n is <= b.  Requires n >= 1.
+
+    Trial division removes each d <= b while d*d is at most what is left of
+    n.  What is left is then 1, a prime, or a number whose prime factors all
+    exceed b, so n is b-smooth exactly when what is left is at most b.
+    """
     if n < 1:
         raise ValueError("smoothness is defined for n >= 1")
     if b < 1:
@@ -132,11 +137,7 @@ def is_b_smooth(n: int, b: int) -> bool:
         while m % d == 0:
             m //= d
         d += 1 if d == 2 else 2
-    if m == 1:
-        return True
-    if d * d > m:  # m is prime here
-        return m <= b
-    return False  # every remaining factor exceeds b
+    return m <= b
 
 
 def z2_admissible_cycle_length(k: int) -> bool:

@@ -68,24 +68,12 @@ class SearchConfig:
 
 
 def has_zero_proper_subsum(values: Sequence[int]) -> bool:
-    """True iff some proper nonempty subset of the four values sums to zero.
-
-    Singletons are excluded by the nonzero precondition.  When the total is
-    zero, a vanishing triple forces its complementary singleton to vanish,
-    so only the six pairs need checking; otherwise the four triples are
-    checked as well.
-    """
+    """True iff some proper nonempty subset of the four nonzero values sums to zero."""
     if len(values) != 4:
         raise ValueError("exactly four values expected")
     if any(v == 0 for v in values):
         raise ValueError("values must be nonzero")
-    a, b, c, d = values
-    if a + b == 0 or a + c == 0 or a + d == 0 or b + c == 0 or b + d == 0 or c + d == 0:
-        return True
-    if a + b + c + d != 0:
-        if a + b + c == 0 or a + b + d == 0 or a + c + d == 0 or b + c + d == 0:
-            return True
-    return False
+    return any(sum(c) == 0 for r in (2, 3) for c in itertools.combinations(values, r))
 
 
 def canonicalize_values(values: Sequence[int]) -> tuple[int, ...]:
@@ -191,7 +179,7 @@ class Relation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Relation":
-        s = InversionSet(json_array(d, "inversion_set"))
+        s = InversionSet(json_array(d, "inversion_set", int))
         raw = json_array(d, "terms")
         terms = tuple(term_from_json(t) for t in raw)
         values = tuple(int(term_value(t, s)) for t in terms)

@@ -150,13 +150,28 @@ def term_to_json(t: UnitTerm, s: InversionSet) -> dict:
     }
 
 
-def json_array(d: dict, key: str) -> list:
-    """d[key], refused unless it is a JSON array (a string would be read char by char)."""
+def json_exact(value, field: str, kind: type = int):
+    """kind(value), refused unless value is an int that is not a bool, or a str.
+
+    Integer and fraction fields take only these: int() would truncate a
+    float, Fraction() would read its binary value, and a bool would pass as
+    0 or 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{field} must be a JSON integer or string, got {type(value).__name__}")
+    return kind(value)
+
+
+def json_array(d: dict, key: str, kind: type | None = None) -> list:
+    """d[key], refused unless it is a JSON array (a string would be read char by char).
+
+    With kind, each element is read through json_exact(element, key, kind).
+    """
     value = d[key]
     if not isinstance(value, list):
         raise TypeError(f"{key} must be a JSON array, got {type(value).__name__}")
-    return value
+    return value if kind is None else [json_exact(v, key, kind) for v in value]
 
 
 def term_from_json(d: dict) -> UnitTerm:
-    return UnitTerm(int(d["sign"]), tuple(int(e) for e in json_array(d, "exponents")))
+    return UnitTerm(json_exact(d["sign"], "sign"), tuple(json_array(d, "exponents", int)))

@@ -232,3 +232,23 @@ def z2_obstruction_oracle(bound: int) -> bool:
         if all(is_unit_oracle(x, (2,)) for x in (a + b, b + c, a + b + c)):
             return False
     return True
+
+
+def lagrange_cubic_oracle(xs) -> list[Fraction]:
+    """Coefficients, lowest degree first, of the cubic through (x_i, x_{i+1 mod 4}).
+
+    Lagrange's form: the sum over i of x_{i+1} * prod_{j != i} (x - x_j) / (x_i - x_j),
+    each basis product expanded one linear factor at a time.
+    """
+    xs = [Fraction(x) for x in xs]
+    coeffs = [Fraction(0)] * 4
+    for i, xi in enumerate(xs):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                # basis * (x - xj): new[d] = basis[d - 1] - xj * basis[d]
+                basis = [lo - xj * hi for lo, hi in zip([0, *basis], [*basis, 0])]
+                denom *= xi - xj
+        for d, c in enumerate(basis):
+            coeffs[d] += xs[(i + 1) % 4] * c / denom
+    return coeffs

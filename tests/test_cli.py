@@ -26,6 +26,13 @@ REL_3_JSON = json.dumps(
 )
 # REL_3_JSON with its first term's "value" forged: 3^1 claimed to be 999.
 REL_3_FORGED_VALUE = REL_3_JSON.replace('"value": "3"', '"value": "999"', 1)
+# Floats and bools where integers belong, which int() would truncate to the
+# relation 7 = 5 + 1 + 1 over Z[1/5, 1/7].
+REL_INEXACT_JSON = (
+    '{"inversion_set":[5.9,7.2],"terms":[{"sign":1.7,"exponents":[0,1.9]},'
+    '{"sign":-1,"exponents":[true,0]},{"sign":-1.5,"exponents":[0,0]},'
+    '{"sign":-1,"exponents":[false,0.5]}]}'
+)
 
 # (argv, expected exit code, substring expected in the output text)
 EXIT_MATRIX = [
@@ -69,6 +76,11 @@ EXIT_MATRIX = [
         ["bb-check", "--relation", REL_3_JSON.replace("[3]", '"3"'), "--C", "1", "--eps", "0"],
         2,
         "malformed relation JSON: inversion_set must be a JSON array, got str",
+    ),
+    (
+        ["bb-check", "--relation", REL_INEXACT_JSON, "--C", "1", "--eps", "1"],
+        2,
+        "malformed relation JSON: inversion_set must be a JSON integer or string, got float",
     ),
     (
         ["bb-check", "--relation", REL_3_FORGED_VALUE, "--C", "1", "--eps", "1"],
@@ -269,6 +281,51 @@ class TestJsonPayloads:
             assert AbcPairReport.from_json_dict(body).verify() is True
         finally:
             sys.set_int_max_str_digits(before)
+
+    # The bodies no other test reads, with their exit codes.
+    BODIES = [
+        (
+            ["zieve", "--ring", "2", "--bound", "2"],
+            0,
+            {"inversion_set": [2], "bound": 2, "u": "2", "v": "1"},
+        ),
+        (
+            ["zieve", "--ring", "5", "--bound", "6"],
+            1,
+            {"inversion_set": [5], "bound": 6, "u": None, "v": None},
+        ),
+        (
+            ["certify-avoid", "5,7"],
+            1,
+            {"inversion_set": [5, 7], "mode": "linear", "counterexample": ["5", "7"]},
+        ),
+        (
+            ["build-avoiding", "--k", "3", "--n", "1"],
+            0,
+            {"k": 3, "n": 1, "start": 3, "primes": [5, 17, 257]},
+        ),
+        (
+            ["bb-check", "--relation", REL_3_JSON, "--C", "1/2", "--eps", "1"],
+            0,
+            {"relation": json.loads(REL_3_JSON), "C": "1/2", "epsilon": "1", "holds": True},
+        ),
+        (
+            ["lenstra", "--ring", "2", "--k", "4", "--bound", "20"],
+            1,
+            {"inversion_set": [2], "k": 4, "elements": None},
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,code,body", BODIES, ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_json_body(self, capsys, argv, code, body):
+        assert main([*argv, "--json"]) == code
+        out, err = capsys.readouterr()
+        assert (json.loads(out), err) == (body, "")
+
+    def test_bb_check_body_round_trips(self):
+        res = dispatch(["bb-check", "--relation", REL_3_JSON, "--C", "1", "--eps", "1", "--json"])
+        rel = Relation.from_json_dict(json.loads(REL_3_JSON))
+        assert Relation.from_json_dict(res.payload["relation"]) == rel
 
     def test_interpolate_large_bad_prime(self):
         big = 1000000000000000009

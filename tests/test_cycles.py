@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import trial_factor, zieve_oracle
+from helpers import is_member_oracle, lagrange_cubic_oracle, trial_factor, zieve_oracle
 from unitcycle.backends import SearchTooLarge
 from unitcycle.cycles import (
     CycleWitness,
@@ -98,6 +98,34 @@ class TestLagrange:
             lagrange_cycle_poly((x, x + 1, x + 2, x + 3), InversionSet.of(*primes))
         assert e.value.bad_prime == min(outside)
         assert e.value.role == "point" and e.value.value == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        primes=st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), unique=True),
+        points=st.lists(
+            st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9))),
+            min_size=4, max_size=4, unique=True,
+        ),
+    )
+    def test_matches_lagrange_basis_oracle(self, primes, points):
+        # The cubic is the oracle's, or the error names the first of the
+        # points, then of its coefficients, that lies outside the ring.
+        coeffs = lagrange_cubic_oracle(points)
+        checked = [("point", x) for x in points]
+        checked += [(f"coefficient of x^{i}", c) for i, c in enumerate(coeffs)]
+        bad = [(role, v) for role, v in checked if not is_member_oracle(v, primes)]
+        s = InversionSet.of(*primes)
+        if not bad:
+            w = lagrange_cycle_poly(points, s)
+            assert list(w.poly.coefficients) == coeffs[: len(w.poly.coefficients)]
+            assert all(c == 0 for c in coeffs[len(w.poly.coefficients) :])
+            return
+        with pytest.raises(RingMembershipError) as e:
+            lagrange_cycle_poly(points, s)
+        role, value = bad[0]
+        assert (e.value.role, e.value.value) == (role, value)
+        outside = [p for p in trial_factor(value.denominator) if p not in primes]
+        assert e.value.bad_prime == min(outside)
 
     def test_witness_json_round_trip(self):
         w = lagrange_cycle_poly((-10, -3, -4, -9), InversionSet.of(5, 7))

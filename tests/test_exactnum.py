@@ -144,6 +144,12 @@ def test_smallest_prime_factor_without_a_small_factor():
     assert smallest_prime_factor(1009**3 * 1013) == 1009
 
 
+def test_smallest_prime_factor_after_the_batch_overshoots():
+    # With c = 1 the batched product of the differences reaches 0 mod n
+    # before its gcd is taken, so rho steps back one term at a time.
+    assert smallest_prime_factor(1009 * 1049) == 1009
+
+
 def test_smallest_prime_factor_of_a_large_prime():
     # Trial division up to the square root would take about 5 * 10^14 steps.
     p = next_prime(10**30)

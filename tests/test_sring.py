@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import is_member_oracle, is_unit_oracle, unit_scan_oracle
-from unitcycle.avoidance import AvoidanceCertificate, abc_pair, separation_certificate
+from unitcycle.avoidance import (
+    AbcPairReport,
+    AvoidanceCertificate,
+    InequalityCheck,
+    abc_pair,
+    separation_certificate,
+)
 from unitcycle.cycles import CycleWitness, lagrange_cycle_poly
 from unitcycle.lenstra import CliqueWitness
 from unitcycle.relsearch import Relation, SearchConfig
@@ -277,3 +284,64 @@ class TestJsonBoundary:
         d["inversion_set"] = [3]
         with pytest.raises(TypeError, match="points must be a JSON array, got str"):
             CycleWitness.from_json_dict(d)
+
+
+def _set(path, value):
+    """A JSON edit: the dict at the end of `path` with its last key set to value."""
+
+    def edit(d):
+        *keys, last = path
+        for k in keys:
+            d = d[k]
+        d[last] = value
+
+    return edit
+
+
+_REL = Relation.from_signed_values(InversionSet.of(2, 3), (1, 1, 1, -3))
+_CERT = separation_certificate(InversionSet.of(5, 17, 257), SearchConfig.linear())
+_ABC = abc_pair(1, 9)
+
+# (reader, a record it reads back, an edit of that record's JSON, the field
+# named, the JSON type refused): floats would be truncated or read by their
+# binary value, and bools would pass as 0 or 1.
+INEXACT_FIELDS = [
+    (term_from_json, term_to_json(UnitTerm(-1, (2, 1)), InversionSet.of(5, 7)),
+     _set(["sign"], -1.0), "sign", "float"),
+    (term_from_json, term_to_json(UnitTerm(1, (1, 0)), InversionSet.of(5, 7)),
+     _set(["exponents", 0], True), "exponents", "bool"),
+    (Relation.from_json_dict, _REL, _set(["inversion_set", 0], 2.0), "inversion_set", "float"),
+    (Relation.from_json_dict, _REL, _set(["terms", 3, "exponents", 1], 1.9), "exponents", "float"),
+    (Relation.from_json_dict, _REL, _set(["terms", 0, "sign"], True), "sign", "bool"),
+    (CycleWitness.from_json_dict, lagrange_cycle_poly((1, 2, 3, 4), InversionSet.of(3)),
+     _set(["points", 0], 1.0), "points", "float"),
+    (CycleWitness.from_json_dict, lagrange_cycle_poly((1, 2, 3, 4), InversionSet.of(3)),
+     _set(["coefficients", 0], 5.0), "coefficients", "float"),
+    (CliqueWitness.from_json_dict, CliqueWitness(InversionSet.of(2), (Fraction(0), Fraction(1))),
+     _set(["elements", 1], True), "elements", "bool"),
+    (AvoidanceCertificate.from_json_dict, _CERT, _set(["inversion_set", 0], 5.5),
+     "inversion_set", "float"),
+    (AvoidanceCertificate.from_json_dict, _CERT, _set(["products"], [float(v) for v in _CERT.products]),
+     "products", "float"),
+    (AvoidanceCertificate.from_json_dict, _CERT, _set(["checks", 0, "lhs"], 3.9), "lhs", "float"),
+    (InequalityCheck.from_json_dict, InequalityCheck.of("c", 3, "<", 5), _set(["rhs"], 5.0),
+     "rhs", "float"),
+    (AbcPairReport.from_json_dict, _ABC, _set(["m"], 9.7), "m", "float"),
+    (AbcPairReport.from_json_dict, _ABC, _set(["C"], 1.0), "C", "float"),
+    (AbcPairReport.from_json_dict, _ABC, _set(["p1"], True), "p1", "bool"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,record,edit,field,kind",
+    INEXACT_FIELDS,
+    ids=[f"{r.__qualname__}-{f}-{k}" for r, _, _, f, k in INEXACT_FIELDS],
+)
+def test_inexact_number_refused(reader, record, edit, field, kind):
+    d = record if isinstance(record, dict) else record.to_json_dict()
+    d = copy.deepcopy(d)
+    # The record reads back before the edit, so the edit alone is refused.
+    assert reader(copy.deepcopy(d)) is not None
+    edit(d)
+    with pytest.raises(TypeError, match=f"^{field} must be a JSON integer or string, got {kind}$"):
+        reader(d)

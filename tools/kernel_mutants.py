@@ -5,13 +5,14 @@ Each mutant below breaks one rule: of the numpy engine's join, input check
 and pair-sum ceiling (`src/unitcycle/backends.py`); of the term table's and
 the survey's ceilings (`relsearch.py`, `survey.py`); of the term and row
 checks that every `Relation` passes, and the relation JSON reader
-(`relsearch.py`); of the prime, sign and JSON-array checks (`exactnum.py`,
-`sring.py`); of the certificate checks (`avoidance.py`, `cycles.py`,
-`lenstra.py`); or of the CLI's error mapping (`cli.py`).  For each one this
-script copies the package to a temporary directory, applies the mutation to
-the named file of the copy, and runs the mutant's test files against the
-copy.  Every mutant must make those tests fail; a mutant that passes means
-the tests no longer pin that rule.  The unmutated copy must pass first.
+(`relsearch.py`); of the prime and sign checks and the JSON readers' array
+and integer-or-string rules (`exactnum.py`, `sring.py`); of the certificate
+checks (`avoidance.py`, `cycles.py`, `lenstra.py`); or of the CLI's error
+mapping (`cli.py`).  For each one this script copies the package to a
+temporary directory, applies the mutation to the named file of the copy,
+and runs the mutant's test files against the copy.  Every mutant must make
+those tests fail; a mutant that passes means the tests no longer pin that
+rule.  The unmutated copy must pass first.
 
 Not covered: `exactnum._RANDOM_ROUNDS`, the Miller-Rabin rounds above the
 deterministic bound.  Cutting it from 64 to 1 changes no answer that a test
@@ -197,6 +198,13 @@ MUTANTS = [
         "json_array array check dropped",
         "sring.py",
         "if not isinstance(value, list):",
+        "if False:",
+        SRING_TESTS,
+    ),
+    (
+        "JSON integer-or-string rule dropped",
+        "sring.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, str)):",
         "if False:",
         SRING_TESTS,
     ),
