@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .exactnum import next_prime, require_prime
 from .relsearch import SearchConfig, term_table
-from .sring import InversionSet, json_array, json_exact
+from .sring import InversionSet, json_array, json_exact, json_string
 
 Rational = Union[int, Fraction]
 
@@ -58,7 +58,7 @@ class InequalityCheck:
         if not isinstance(passed, bool):
             raise TypeError(f"pass must be a JSON bool, got {type(passed).__name__}")
         lhs, rhs = json_exact(d["lhs"], "lhs"), json_exact(d["rhs"], "rhs")
-        return cls(d["name"], lhs, rhs, d["relation"], passed)
+        return cls(json_string(d, "name"), lhs, rhs, json_string(d, "relation"), passed)
 
 
 class SeparationCounterexample(NamedTuple):
@@ -96,7 +96,7 @@ class AvoidanceCertificate:
     def from_json_dict(cls, d: dict) -> "AvoidanceCertificate":
         return cls(
             InversionSet(json_array(d, "inversion_set", int)),
-            SearchConfig.parse(d["mode"]),
+            SearchConfig.parse(json_string(d, "mode")),
             tuple(json_array(d, "products", int)),
             tuple(InequalityCheck.from_json_dict(c) for c in json_array(d, "checks")),
         )

@@ -26,6 +26,25 @@ The python engine matches negated two-term sums: enumerate pairs (a <= b),
 bucket by sum, and join each bucket with its negation under the interleave
 constraint b <= c, which yields every sorted quadruple exactly once.
 
+Segments: one numpy join can search many term sets at once.  Their term
+lists, each largest first, are laid end to end, and the pair table holds
+the pairs within each segment, offset by the terms before it.  Segment s
+adds a tag t_s = s * _TAG_STEP mod RESIDUE_PRIME to its b-side keys, so
+its sums and its differences both carry t_s, at the cost of one pass over
+the terms, none over the table.  A row that joins segments s != s' matches
+only when its exact sum is congruent to t_s - t_s' or t_s' - t_s mod P,
+which is not 0 because the tags are distinct mod P; the exact-sum test
+that drops residue collisions drops these rows too.  Segment 0's tag is 0,
+so a one-segment join adds none, and zero_quadruples is the one-segment
+case of the same join.  count_zero_quadruples returns, per
+segment, the number of rows whose exact sum is 0, with no rank rows, no
+row sort and no Relation objects; survey_run counts every subset with it.
+The survey puts at most min(ceiling, BATCH_PAIR_SUMS = 2^17) pair sums in
+one join.  survey_run(20, 5), 15,504 subsets of 528 pair sums each, took
+0.90-0.92 s and 38.8 MB peak RSS with batches of 2^17 pair sums, 0.94-1.01 s
+and 35.0 MB with 2^16, 1.03-1.10 s and 44.4 MB with 2^18, and 1.17 s and
+122 MB with the default ceiling's 2M (2 vCPU, Python 3.11, numpy 2.4).
+
 Two interchangeable engines:
 
   * numpy  - vectorized int64 kernel (default), for terms of any size.  Terms
@@ -46,14 +65,17 @@ about 210 faults and 1.23 MB.  On the 125-term `bigint` sets faults fell
 from 182 per call to 0.
 
 Selection: environment variable UNITCYCLE_BACKEND = numpy | python
-(unset or "auto" picks numpy).
+(unset or "auto" picks numpy), read by zero_quadruples and
+count_zero_quadruples on every call; the python engine counts each
+segment as the length of its rows.
 
 Size: every search has one ceiling, resolve_ceiling(): an explicit argument,
 else UNITCYCLE_CEILING, else DEFAULT_CEILING.  Both engines refuse with
-SearchTooLarge, before allocating anything, when the n(n+1)/2 pair sums
-exceed it (refuse_pair_sums, which find_relations also runs before it builds
-its term table); the term table and the unit scans compare their own sizes
-with the same number.
+SearchTooLarge, before allocating anything, when the n(n+1)/2 pair sums, or
+their total over the segments, exceed it (refuse_pair_sums, which
+find_relations and survey_run also run, through relsearch.refuse_search,
+before they build any term); the term table and the unit scans compare
+their own sizes with the same number.
 """
 
 from __future__ import annotations
@@ -65,8 +87,9 @@ import numpy as np
 
 BACKEND_ENV = "UNITCYCLE_BACKEND"
 
-# Pair sums of two values up to this limit stay inside int64.  The package no
-# longer reads it; perfbench and the tests import it to sort sets by size.
+# Pair sums of two values up to this limit stay inside int64, and so do the
+# exact sums of the segment counts' rows (perfbench and the tests import it
+# too, to sort sets by size).
 INT64_VALUE_LIMIT = 2**61
 
 # A prime below 2^62, so residues and their pair sums stay in int64.  It is a
@@ -78,6 +101,12 @@ RESIDUE_PRIME = 2**62 - 10565
 
 DEFAULT_CEILING = 2_000_000
 CEILING_ENV = "UNITCYCLE_CEILING"
+
+# The most pair sums a survey puts in one join, when its ceiling allows:
+# survey_run(20, 5) took longer with batches of 2^16 or 2^18 pair sums, and
+# longer still, with three times the peak RSS, in joins of the default
+# ceiling (module docstring).
+BATCH_PAIR_SUMS = 2**17
 
 
 class SearchTooLarge(RuntimeError):
@@ -106,9 +135,10 @@ def resolve_ceiling(explicit: int | None = None) -> int:
     return value
 
 
-def refuse_pair_sums(n: int, limit: int) -> None:
-    """Raise SearchTooLarge when the n(n+1)/2 pair sums of n terms exceed limit."""
-    npairs = n * (n + 1) // 2
+def refuse_pair_sums(limit: int, *sizes: int) -> None:
+    """Raise SearchTooLarge when the pair sums of segments of these sizes,
+    n(n+1)/2 for each size n, exceed limit in all."""
+    npairs = sum(n * (n + 1) // 2 for n in sizes)
     if npairs > limit:
         raise SearchTooLarge(f"{npairs} pair sums exceed the ceiling {limit}")
 
@@ -173,16 +203,31 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n(n+1)/2 pairs b <= c of 0..n-1 in row-major order, as int32 arrays."""
-    terms = np.arange(n, dtype=np.int32)
-    width = n - terms
+def _pair_widths(sizes: Sequence[int]) -> np.ndarray:
+    """For each term of segments of these sizes, laid end to end, the number
+    of terms from it to the end of its segment, as int32."""
+    return np.concatenate([np.arange(n, 0, -1, dtype=np.int32) for n in sizes])
+
+
+def _pair_table(sizes: int | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs b <= c of term indices within each segment of these sizes
+    (one int for one segment), segment by segment and each in row-major
+    order, as int32 arrays: n(n+1)/2 pairs for a segment of n terms."""
+    width = _pair_widths([sizes] if isinstance(sizes, int) else sizes)
+    terms = np.arange(len(width), dtype=np.int32)
     return terms.repeat(width), _ranges(terms, width)
 
 
 # Fibonacci hashing: 2^64 divided by the golden ratio, odd.  The top bits of
 # key * _HASH_MULT mod 2^64 spread residues evenly over the presence table.
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+# Segment s of a join adds the tag s * _TAG_STEP mod P to its b-side keys.
+# The tags are distinct mod P, and this step spreads them like the hash
+# does.  With a step of 1, nearby sums of neighbouring segments share keys:
+# a batch of 248 five-prime subsets built 8.79M candidate rows instead of
+# 59,410 (and with every tag 0 it counted 5.2M relations, not 31,379).
+_TAG_STEP = int(_HASH_MULT) % RESIDUE_PRIME
 
 
 def _slots(keys: np.ndarray, bits: int) -> np.ndarray:
@@ -231,36 +276,48 @@ def _find(table: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, first[x]
 
 
-def _ranked_rows(vals: list[int]) -> np.ndarray:
-    """The numpy engine's join over the distinct values vals, largest first.
+def _segment_tags(sizes: Sequence[int]) -> np.ndarray:
+    """Each term's tag, s * _TAG_STEP mod P for a term of segment s, as int64."""
+    tags = [s * _TAG_STEP % RESIDUE_PRIME for s in range(len(sizes))]
+    return np.array(tags, dtype=np.int64).repeat(sizes)
 
-    Returns a 4 x k array whose columns are the candidate rows, each as the
-    ranks of its four terms among the 2n signed values in ascending order,
-    and the columns sorted by value as the python engine sorts its rows.
-    Each relation is one column; sums that vanish only mod RESIDUE_PRIME add
-    columns that are not relations.
+
+def _join(vals: list[int], sizes: Sequence[int]):
+    """The numpy engine's join over segments of these sizes, laid end to end
+    in vals, each segment's distinct values largest first.
+
+    Returns (b, c, outer, inner, two_two): the pair table's columns, and for
+    each candidate row the indices of its outer pair (u, v) and inner pair
+    (b, c) in that table; the first two_two rows are 2-2, v_u + v_v =
+    v_b + v_c, and the rest 3-1, v_u = v_b + v_c + v_v.  Every relation
+    of a segment is one row.  A row whose sum vanishes only mod
+    RESIDUE_PRIME, or whose terms come from two segments, is a row too,
+    and its exact sum is not 0.
     """
-    # Term t is v_t = vals[t], the t-th largest value.
-    n = len(vals)
-    m = 2 * n
-    if m**4 > 2**63:
-        raise SearchTooLarge(f"{m} signed terms overflow the int64 row key")
+    # Term t is v_t = vals[t], the t-th largest value of its segment.
     key = np.array([x % RESIDUE_PRIME for x in vals], dtype=np.int64)
-    # S: the pairs b <= c keyed by v_b + v_c, the one sorted table.  The stable
-    # sort keeps the row-major order of the pair table inside each equal-key
-    # run, so b does not decrease along a run.  Term indices are int32, and
-    # each table-sized array is dropped once it has been read (the module
-    # docstring says why: heap trim and page faults).  Only the rows the join
-    # builds are mapped back through `order`; b and c stay in pair order.
-    b, c = _pair_table(n)
+    # S: the pairs b <= c of each segment, keyed by v_b + v_c, the one sorted
+    # table.  The stable sort keeps the row-major order of the pair table
+    # inside each equal-key run, so b does not decrease along a run.  Term
+    # indices are int32, and each table-sized array is dropped once it has
+    # been read (the module docstring says why: heap trim and page faults).
+    # Only the rows the join builds are mapped back through `order`; b and c
+    # stay in pair order.
+    b, c = _pair_table(sizes)
     # The b-side and c-side keys give both the sums and, in pair order, the
     # 3-1 differences v_b - v_c = 2 v_b - (v_b + v_c), with no third array.
-    # The b-side keys repeat as b's values do, because numpy gathers through
-    # an int32 index several times slower than through an intp one.  The
-    # c-side keeps the int32 gather: an intp copy of c saved 15 us on 125
-    # terms but cost 190 us on 256, where its extra table-sized block is
-    # trimmed from the heap and faulted in again on every call.
-    sums = key.repeat(n - np.arange(n))
+    # The b-side keys carry their segment's tag, so the sums and the
+    # differences both do.  They repeat as b's values do, because numpy
+    # gathers through an int32 index several times slower than through an
+    # intp one.  The c-side keeps the int32 gather: an intp copy of c saved
+    # 15 us on 125 terms but cost 190 us on 256, where its extra table-sized
+    # block is trimmed from the heap and faulted in again on every call.
+    # Segment 0's tag is 0, so a one-segment join adds none.
+    tagged = key
+    if len(sizes) > 1:
+        tagged = key + _segment_tags(sizes)
+        np.subtract(tagged, RESIDUE_PRIME, out=tagged, where=tagged >= RESIDUE_PRIME)
+    sums = tagged.repeat(_pair_widths(sizes))
     diffs = key[c]
     sums += diffs
     diffs *= -2
@@ -295,7 +352,23 @@ def _ranked_rows(vals: list[int]) -> np.ndarray:
     two_two = counts[: len(run)].sum()
     inner = order[_ranges(first, counts)]
     del order
-    outer = outer.repeat(counts)
+    return b, c, outer.repeat(counts), inner, two_two
+
+
+def _ranked_rows(vals: list[int]) -> np.ndarray:
+    """The join over the distinct values vals, largest first, as one segment.
+
+    Returns a 4 x k array whose columns are the candidate rows, each as the
+    ranks of its four terms among the 2n signed values in ascending order,
+    and the columns sorted by value as the python engine sorts its rows.
+    Each relation is one column; sums that vanish only mod RESIDUE_PRIME add
+    columns that are not relations.
+    """
+    n = len(vals)
+    m = 2 * n
+    if m**4 > 2**63:
+        raise SearchTooLarge(f"{m} signed terms overflow the int64 row key")
+    b, c, outer, inner, two_two = _join(vals, [n])
     # A row holds the value ranks of +v_u, -v_b, -v_c and +-v_v for an outer
     # pair (u, v) and an inner pair (b, c); in ascending value order, +v_t
     # has rank m-1-t and -v_t rank t.  Two distinct 2-2 pairs with one sum
@@ -319,6 +392,28 @@ def _ranked_rows(vals: list[int]) -> np.ndarray:
     return rows[:, (np.array([m**3, m**2, m, 1]) @ rows).argsort(kind="stable")]
 
 
+def _segment_counts(vals: list[int], sizes: Sequence[int]) -> np.ndarray:
+    """The number of relations of each segment: the rows of one join whose
+    exact sum is 0, counted by segment, with no rank rows and no row sort."""
+    b, c, outer, inner, two_two = _join(vals, sizes)
+    low, tail = c[inner], c[outer]
+    # The ranked rows' test c <= v, on term indices.  A 2-2 relation passes
+    # it too: its inner pair comes later in its run, so b' > b and c' < c.
+    keep = (low <= tail).nonzero()[0]
+    low, tail = low[keep], tail[keep]
+    head, mid = b[outer[keep]], b[inner[keep]]
+    del b, c, outer, inner
+    # Values up to INT64_VALUE_LIMIT keep every partial sum of a row below
+    # 3 * 2^61 in magnitude, so int64 sums them exactly; larger ones are
+    # summed as ints.
+    value = np.array(vals, dtype=np.int64 if max(vals) <= INT64_VALUE_LIMIT else object)
+    total = value[head] - value[mid] - value[low]
+    last = value[tail]
+    total += np.where(keep < two_two, last, -last)
+    segment = np.arange(len(sizes)).repeat(sizes)
+    return np.bincount(segment[head[total == 0]], minlength=len(sizes))
+
+
 def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     vals = sorted(values, reverse=True)
     # Residue keys match every sum that vanishes mod P; keep those that vanish.
@@ -335,6 +430,11 @@ def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     return list(zip(*quads[:, quads.sum(axis=0) == 0]))
 
 
+def _require_distinct_positive(vs: list[int]) -> None:
+    if min(vs) <= 0 or len(set(vs)) != len(vs):
+        raise ValueError("term values must be distinct positive integers")
+
+
 def zero_quadruples(
     values: Iterable[int],
     *,
@@ -349,10 +449,32 @@ def zero_quadruples(
     vs = list(values)
     if not vs:
         return []
-    if any(v <= 0 for v in vs) or len(set(vs)) != len(vs):
-        raise ValueError("term values must be distinct positive integers")
-    refuse_pair_sums(len(vs), resolve_ceiling(ceiling))
+    _require_distinct_positive(vs)
+    refuse_pair_sums(resolve_ceiling(ceiling), len(vs))
     if active_backend() == "python":
         return _zero_quads_python(vs)
     return _zero_quads_numpy(vs)
 
+
+def count_zero_quadruples(
+    segments: Iterable[Iterable[int]],
+    *,
+    ceiling: int | None = None,
+) -> list[int]:
+    """len(zero_quadruples(segment)) for each segment, from one join over all.
+
+    Each segment must be distinct positive integers; segments may share
+    values.  More than resolve_ceiling(ceiling) pair sums in all, n(n+1)/2
+    for each segment of n values, raise SearchTooLarge.
+    """
+    segs = [sorted(segment, reverse=True) for segment in segments]
+    for vs in filter(None, segs):
+        _require_distinct_positive(vs)
+    sizes = [len(vs) for vs in segs]
+    refuse_pair_sums(resolve_ceiling(ceiling), *sizes)
+    if active_backend() == "python":
+        return [len(_zero_quads_python(vs)) for vs in segs]
+    vals = [v for vs in segs for v in vs]
+    if not vals:
+        return [0] * len(segs)
+    return _segment_counts(vals, sizes).tolist()

@@ -191,25 +191,43 @@ class Relation:
         return rel
 
 
+def _refuse_terms(count: int, limit: int) -> None:
+    if count > limit:
+        raise SearchTooLarge(f"{count} candidate terms exceed the ceiling {limit}")
+
+
+def refuse_search(n: int, bound: int, limit: int) -> int:
+    """The term count (bound+1)^n of a search over n primes, checked before
+    anything is built: SearchTooLarge names the terms when they exceed
+    limit, else their pair sums when those do."""
+    count = (bound + 1) ** n
+    _refuse_terms(count, limit)
+    refuse_pair_sums(limit, count)
+    return count
+
+
+def term_products(primes: Sequence[int], bound: int) -> list[int]:
+    """The products of the primes with exponents in {0..bound}, in the order
+    of itertools.product(range(bound + 1), repeat=len(primes)).
+
+    Each prime extends every product so far by each of its powers, last
+    prime fastest: one multiplication per product.
+    """
+    values = [1]
+    for p in primes:
+        powers = [p**e for e in range(bound + 1)]
+        values = [v * q for v in values for q in powers]
+    return values
+
+
 def term_table(
     s: InversionSet, bound: int, *, ceiling: int | None = None
 ) -> dict[int, tuple[int, ...]]:
     """value -> exponent vector for all products with exponents in {0..bound}."""
     n = len(s)
-    count = (bound + 1) ** n
-    limit = resolve_ceiling(ceiling)
-    if count > limit:
-        raise SearchTooLarge(
-            f"{count} candidate terms exceed the ceiling {limit}"
-        )
-    # One product per entry: each prime extends every product so far by each
-    # of its powers, last prime fastest, the order of
-    # itertools.product(range(bound + 1), repeat=n).
-    table: dict[int, tuple[int, ...]] = {1: ()}
-    for p in s.primes:
-        powers = [(p**e, e) for e in range(bound + 1)]
-        table = {v * q: exps + (e,) for v, exps in table.items() for q, e in powers}
-    return table
+    _refuse_terms((bound + 1) ** n, resolve_ceiling(ceiling))
+    exponents = itertools.product(range(bound + 1), repeat=n)
+    return dict(zip(term_products(s.primes, bound), exponents))
 
 
 def find_relations(
@@ -228,12 +246,8 @@ def find_relations(
     """
     if len(s) == 0:
         raise ValueError("relation search needs a nonempty inversion set")
-    # The table will hold (bound+1)^n distinct terms.  Refuse their pair sums
-    # before it is built; term_table names the terms first if they are over.
     limit = resolve_ceiling(ceiling)
-    count = (cfg.bound + 1) ** len(s)
-    if count <= limit:
-        refuse_pair_sums(count, limit)
+    refuse_search(len(s), cfg.bound, limit)
     table = term_table(s, cfg.bound, ceiling=limit)
     rows = zero_quadruples(table.keys(), ceiling=limit)
     # One shared (frozen) UnitTerm per signed value that occurs in a row,

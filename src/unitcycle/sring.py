@@ -162,6 +162,14 @@ def json_exact(value, field: str, kind: type = int):
     return kind(value)
 
 
+def json_string(d: dict, key: str) -> str:
+    """d[key], refused unless it is a JSON string."""
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a JSON string, got {type(value).__name__}")
+    return value
+
+
 def json_array(d: dict, key: str, kind: type | None = None) -> list:
     """d[key], refused unless it is a JSON array (a string would be read char by char).
 

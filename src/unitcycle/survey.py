@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .backends import SearchTooLarge
+from .backends import BATCH_PAIR_SUMS, SearchTooLarge, count_zero_quadruples, resolve_ceiling
 from .exactnum import first_primes
-from .relsearch import SearchConfig, find_relations
+from .relsearch import SearchConfig, refuse_search, term_products
 from .sring import InversionSet
 
 SUBSET_CEILING = 20_000
@@ -77,8 +77,11 @@ def survey_run(
     `sample=N` for N distinct uniform random subsets drawn with a fixed seed
     (every subset, in order, when N is at least their number).  Sampling
     raises SearchTooLarge if 200*N draws give fewer than N distinct subsets.
-    `ceiling` is the search ceiling of each subset's `find_relations`: its
-    terms and pair sums.
+    `ceiling` bounds each subset's search as it bounds `find_relations`:
+    its terms and pair sums.  Each count is len(find_relations(...)) for
+    the subset, counted with no Relation objects by
+    `backends.count_zero_quadruples` in batches of subsets whose pair sums
+    fit min(ceiling, BATCH_PAIR_SUMS).
     """
     if subset_size < 2:
         raise ValueError("subset_size must be >= 2")
@@ -112,11 +115,17 @@ def survey_run(
     else:
         subsets = itertools.combinations(pool, subset_size)
 
+    # Each subset's search has find_relations' ceiling and messages, checked
+    # once: every subset has the same number of terms.
+    limit = resolve_ceiling(ceiling)
+    terms = refuse_search(subset_size, mode.bound, limit)
+    batch = max(1, min(limit, BATCH_PAIR_SUMS) // (terms * (terms + 1) // 2))
     rows: list[SurveyRow] = []
-    for primes in subsets:
-        s = InversionSet(primes)
-        count = len(find_relations(s, mode, ceiling=ceiling))
-        rows.append(SurveyRow(primes, min_gap(s), count))
+    subsets = iter(subsets)
+    while chunk := list(itertools.islice(subsets, batch)):
+        segments = [term_products(primes, mode.bound) for primes in chunk]
+        counts = count_zero_quadruples(segments, ceiling=limit)
+        rows += map(SurveyRow, chunk, map(min_gap, chunk), counts)
     return rows, aggregate_rows(rows)
 
 

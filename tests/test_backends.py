@@ -16,6 +16,7 @@ from unitcycle.backends import (
     SearchTooLarge,
     active_backend,
     available_backends,
+    count_zero_quadruples,
     zero_quadruples,
 )
 
@@ -319,6 +320,19 @@ def test_numpy_engine_matches_python_engine(values):
     assert backends._zero_quads_numpy(values) == backends._zero_quads_python(values)
 
 
+@pytest.mark.parametrize("sizes", [[3, 1, 4], [2, 0, 2], [0]])
+def test_pair_table_of_segments(sizes):
+    # Each segment's pairs, in row-major order and offset by the terms
+    # before it, one segment after another.
+    b, c = backends._pair_table(sizes)
+    assert b.dtype == c.dtype == np.int32
+    pairs, start = [], 0
+    for n in sizes:
+        pairs += [(start + i, start + j) for i in range(n) for j in range(i, n)]
+        start += n
+    assert list(zip(b.tolist(), c.tolist())) == pairs
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
 def test_pair_table_is_row_major(n):
     # The stable sort of the pair sums relies on this order (b ascending,
@@ -458,3 +472,69 @@ def test_residue_prime_keeps_powers_apart():
     assert is_probable_prime(P) and is_probable_prime((P - 1) // 2)
     for p in (2, 3, 5, 7):
         assert len({pow(p, a, P) for a in range(2000)}) == 2000
+
+
+class TestCountZeroQuadruples:
+    """One join for many term sets: a count per segment, with no rows built."""
+
+    def test_one_segment_counts_the_rows(self, each_backend):
+        for values in CASES + [[3, 7, 2**62 + 7, 2**62 + 11]]:
+            assert count_zero_quadruples([values]) == [len(zero_quadruples(values))]
+
+    def test_fixed_cases_together(self, each_backend):
+        assert count_zero_quadruples(CASES) == [len(quadruples_by_completion(v)) for v in CASES]
+
+    def test_every_segment_the_same_set(self, each_backend):
+        # Equal sums in different segments must not match: every copy gets
+        # the full count, and no more.
+        values = [2**a * 3**b * 5**c for a, b, c in itertools.product(range(3), repeat=3)]
+        full = len(quadruples_by_completion(values))
+        assert full > 0
+        assert count_zero_quadruples([values] * 40) == [full] * 40
+        assert count_zero_quadruples([[1, 3]] * 300) == [1] * 300
+
+    def test_empty(self, each_backend):
+        assert count_zero_quadruples([]) == []
+        assert count_zero_quadruples([[], []]) == [0, 0]
+        assert count_zero_quadruples([[], [1, 3], []]) == [0, 1, 0]
+
+    def test_validation(self):
+        for bad in ([0, 1], [-3, 5], [5, 5]):
+            with pytest.raises(ValueError, match="distinct positive"):
+                count_zero_quadruples([[1, 3], bad])
+
+    def test_ceiling_counts_every_segment(self, each_backend):
+        # Segments of 3, 4 and 5 values: 6 + 10 + 15 = 31 pair sums.
+        segments = [[1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5]]
+        assert count_zero_quadruples(segments, ceiling=31) == [
+            len(quadruples_by_completion(s)) for s in segments
+        ]
+        with pytest.raises(SearchTooLarge, match="^31 pair sums exceed the ceiling 30$"):
+            count_zero_quadruples(segments, ceiling=30)
+
+    def test_tags_are_distinct(self):
+        sizes = [1] * 5000
+        tags = backends._segment_tags(sizes)
+        assert tags[0] == 0
+        assert len(set(tags.tolist())) == len(sizes)
+        assert 0 <= tags.min() and tags.max() < backends.RESIDUE_PRIME
+
+
+@st.composite
+def shared_segments(draw):
+    """Segments drawn from one pool of TERM_VALUES, so that they share terms."""
+    pool = draw(st.lists(TERM_VALUES, min_size=1, max_size=14, unique=True))
+    segment = st.lists(st.sampled_from(pool), max_size=10, unique=True)
+    return draw(st.lists(segment, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_segments())
+@example([[3, 7, 2**61 - 4, 2**61], [3, 7, 2**61 - 4], [7, 3, 2**61, 2**61 - 4]])
+@example([[5, backends.RESIDUE_PRIME - 9, backends.RESIDUE_PRIME + 1], [1, 10566, 2**61]])
+def test_segment_counts_match_python_engine(segments):
+    expected = [len(backends._zero_quads_python(s)) for s in segments]
+    if any(segments):
+        vals = [v for s in segments for v in sorted(s, reverse=True)]
+        counts = backends._segment_counts(vals, [len(s) for s in segments])
+        assert counts.tolist() == expected

@@ -345,3 +345,27 @@ def test_inexact_number_refused(reader, record, edit, field, kind):
     edit(d)
     with pytest.raises(TypeError, match=f"^{field} must be a JSON integer or string, got {kind}$"):
         reader(d)
+
+
+# (reader, a record it reads back, an edit that puts a non-string in one of
+# its string fields, that field, the JSON type refused).
+STRING_FIELDS = [
+    (AvoidanceCertificate.from_json_dict, _CERT, _set(["mode"], 2), "mode", "int"),
+    (InequalityCheck.from_json_dict, InequalityCheck.of("c", 3, "<", 5), _set(["name"], 7),
+     "name", "int"),
+    (InequalityCheck.from_json_dict, InequalityCheck.of("c", 3, "<", 5), _set(["relation"], ["<"]),
+     "relation", "list"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,record,edit,field,kind",
+    STRING_FIELDS,
+    ids=[f"{r.__qualname__}-{f}" for r, _, _, f, _ in STRING_FIELDS],
+)
+def test_non_string_field_refused(reader, record, edit, field, kind):
+    d = copy.deepcopy(record.to_json_dict())
+    assert reader(copy.deepcopy(d)) == record
+    edit(d)
+    with pytest.raises(TypeError, match=f"^{field} must be a JSON string, got {kind}$"):
+        reader(d)

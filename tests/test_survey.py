@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import types
@@ -6,7 +7,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from helpers import relation_count_oracle
+from unitcycle import backends
 from unitcycle.backends import SearchTooLarge
+from unitcycle.exactnum import first_primes
 from unitcycle.relsearch import SearchConfig, find_relations
 import unitcycle.survey as survey_module
 from unitcycle.sring import InversionSet
@@ -89,6 +92,64 @@ class TestSurveyRun:
             survey_run(6, 5, ceiling=100)
         rows, _ = survey_run(6, 5, ceiling=528)
         assert len(rows) == 6
+
+    def test_search_ceiling_checked_before_any_count(self, monkeypatch):
+        # find_relations' messages, in its order (terms, then pair sums),
+        # raised once before any subset's terms are built.
+        def no_terms(*args):
+            raise AssertionError("a subset's terms were built")
+
+        monkeypatch.setattr(survey_module, "term_products", no_terms)
+        with pytest.raises(SearchTooLarge, match="^32 candidate terms exceed the ceiling 20$"):
+            survey_run(6, 5, ceiling=20)
+        with pytest.raises(SearchTooLarge, match="^528 pair sums exceed the ceiling 100$"):
+            survey_run(6, 5, ceiling=100)
+        for size, ceiling in ((3, 7), (3, 35), (5, 527)):
+            with pytest.raises(SearchTooLarge) as raised:
+                survey_run(8, size, ceiling=ceiling)
+            with pytest.raises(SearchTooLarge) as direct:
+                find_relations(InversionSet(first_primes(size)), SearchConfig.linear(), ceiling=ceiling)
+            assert str(raised.value) == str(direct.value)
+
+    @pytest.mark.parametrize(
+        "ceiling, per_batch", [(None, 2**17 // 528), (1000, 1), (528, 1), (528 * 7, 7)]
+    )
+    def test_batches_fit_the_ceiling(self, monkeypatch, ceiling, per_batch):
+        # One join per batch, of at most min(ceiling, 2^17) pair sums: 528
+        # for each 5-prime subset in linear mode.
+        batches = []
+        real = survey_module.count_zero_quadruples
+
+        def spy(segments, *, ceiling):
+            batches.append(len(segments))
+            return real(segments, ceiling=ceiling)
+
+        monkeypatch.setattr(survey_module, "count_zero_quadruples", spy)
+        rows, _ = survey_run(12, 5, ceiling=ceiling)
+        assert len(rows) == 792
+        assert batches[:-1] == [per_batch] * (len(batches) - 1)
+        assert 0 < batches[-1] <= per_batch and sum(batches) == 792
+
+    @pytest.mark.parametrize(
+        "pool, size, mode",
+        [(12, 5, SearchConfig.linear()), (9, 3, SearchConfig.general(2)),
+         (10, 2, SearchConfig.general(4)), (8, 2, SearchConfig.npower(3))],
+        ids=["linear", "general:2", "general:4", "npower:3"],
+    )
+    def test_counts_equal_find_relations(self, pool, size, mode):
+        # Every subset of a batch has its own count, which a join that let
+        # one subset's sums match another's would inflate.
+        rows, _ = survey_run(pool, size, mode)
+        assert [r.primes for r in rows] == list(itertools.combinations(first_primes(pool), size))
+        for r in rows:
+            assert r.relation_count == len(find_relations(InversionSet(r.primes), mode)), r.primes
+
+    def test_same_rows_on_each_backend(self, monkeypatch):
+        runs = {}
+        for name in backends.available_backends():
+            monkeypatch.setenv(backends.BACKEND_ENV, name)
+            runs[name] = survey_run(9, 3, SearchConfig.general(2)), survey_run(10, 4, sample=5, seed=6)
+        assert runs["numpy"] == runs["python"]
 
     def test_default_ceiling_blocks_large_pool(self):
         with pytest.raises(SearchTooLarge):
@@ -215,3 +276,29 @@ class TestSvg:
         _, agg = survey_run(6, 5)
         path = emit_scatter_svg(agg, tmp_path / "plot.svg")
         assert path.read_bytes() == svg_bytes(agg)
+
+
+# sha256 of csv_bytes(rows) and svg_bytes(agg), recorded before the survey
+# counted with one join per batch of subsets.
+SURVEY_DIGESTS = [
+    ((12, 5), {}, 792,
+     "f38c934ff59b3113cc3555272d79637b17fb70bcd25000190c56329f99552f02",
+     "7150ba3d48526a0c01e2994bb18650af3479a54aa3e828bdd1e30e3fae4731d1"),
+    ((9, 3, SearchConfig.general(2)), {}, 84,
+     "991143b503f110268cf2f65c4a05db14856a6deb474608b38463145ac65f2b47",
+     "b6782decb4af07908b6e49729c012258d2db7eed7538c443cf5467db975022e7"),
+    ((10, 4), {"sample": 5, "seed": 6}, 5,
+     "d4f5a0253b7f80c8e4c566d9dae780bbcf770ec3bb3096fcff538c9e6371fdac",
+     "a69dd5c1a56b742cad69f2c48e57a42f8eac1c7628682da9ba22b6f9a68bc3fb"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, nrows, csv_sha, svg_sha", SURVEY_DIGESTS,
+    ids=["12-5-linear", "9-3-general:2", "10-4-sample"],
+)
+def test_survey_bytes_pinned(args, kwargs, nrows, csv_sha, svg_sha):
+    rows, agg = survey_run(*args, **kwargs)
+    assert len(rows) == nrows
+    assert hashlib.sha256(csv_bytes(rows)).hexdigest() == csv_sha
+    assert hashlib.sha256(svg_bytes(agg)).hexdigest() == svg_sha

@@ -1,12 +1,13 @@
 """Mutation gate for the numpy join and the checks at the package's trust
 boundaries.
 
-Each mutant below breaks one rule: of the numpy engine's join, input check
-and pair-sum ceiling (`src/unitcycle/backends.py`); of the term table's and
-the survey's ceilings (`relsearch.py`, `survey.py`); of the term and row
-checks that every `Relation` passes, and the relation JSON reader
-(`relsearch.py`); of the prime and sign checks and the JSON readers' array
-and integer-or-string rules (`exactnum.py`, `sring.py`); of the certificate
+Each mutant below breaks one rule: of the numpy engine's join, its segment
+tags and segment counts, its input check and pair-sum ceiling
+(`src/unitcycle/backends.py`); of the term table's and the survey's
+ceilings (`relsearch.py`, `survey.py`); of the term and row checks that
+every `Relation` passes, and the relation JSON reader (`relsearch.py`); of
+the prime and sign checks and the JSON readers' array, integer-or-string
+and string rules (`exactnum.py`, `sring.py`); of the certificate
 checks (`avoidance.py`, `cycles.py`, `lenstra.py`); or of the CLI's error
 mapping (`cli.py`).  For each one this script copies the package to a
 temporary directory, applies the mutation to the named file of the copy,
@@ -46,6 +47,8 @@ AVOIDANCE_TESTS = ("tests/test_avoidance.py",)
 CYCLES_TESTS = ("tests/test_cycles.py",)
 SRING_TESTS = ("tests/test_sring.py",)
 CLI_TESTS = ("tests/test_cli.py",)
+SURVEY_TESTS = ("tests/test_survey.py",)
+COUNT_TESTS = ("tests/test_backends.py", "tests/test_survey.py")
 
 # (name, file in the package, text in that file, replacement, test files):
 # each text occurs exactly once in its file.
@@ -100,11 +103,32 @@ MUTANTS = [
         "hit = found",
         KERNEL_TESTS,
     ),
+    (
+        "every segment given the same tag",
+        "backends.py",
+        "tags = [s * _TAG_STEP % RESIDUE_PRIME for s in range(len(sizes))]",
+        "tags = [0 for s in range(len(sizes))]",
+        SURVEY_TESTS,
+    ),
+    (
+        "segment counts keep rows whose exact sum is not 0",
+        "backends.py",
+        "segment[head[total == 0]]",
+        "segment[head]",
+        COUNT_TESTS,
+    ),
+    (
+        "segment counts drop 3-1 rows with c = v",
+        "backends.py",
+        "keep = (low <= tail).nonzero()[0]",
+        "keep = (low < tail).nonzero()[0]",
+        COUNT_TESTS,
+    ),
     # The search's input check and ceilings.
     (
         "zero_quadruples input check dropped",
         "backends.py",
-        "if any(v <= 0 for v in vs) or len(set(vs)) != len(vs):",
+        "if min(vs) <= 0 or len(set(vs)) != len(vs):",
         "if False:",
         BACKEND_TESTS,
     ),
@@ -127,7 +151,7 @@ MUTANTS = [
         "survey.py",
         "total > SUBSET_CEILING:",
         "total > SUBSET_CEILING + 1:",
-        ("tests/test_survey.py",),
+        SURVEY_TESTS,
     ),
     # The term and row checks that every Relation passes.
     (
@@ -205,6 +229,13 @@ MUTANTS = [
         "JSON integer-or-string rule dropped",
         "sring.py",
         "if isinstance(value, bool) or not isinstance(value, (int, str)):",
+        "if False:",
+        SRING_TESTS,
+    ),
+    (
+        "JSON string rule dropped",
+        "sring.py",
+        "if not isinstance(value, str):",
         "if False:",
         SRING_TESTS,
     ),
