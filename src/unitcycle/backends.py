@@ -209,11 +209,11 @@ def _pair_widths(sizes: Sequence[int]) -> np.ndarray:
     return np.concatenate([np.arange(n, 0, -1, dtype=np.int32) for n in sizes])
 
 
-def _pair_table(sizes: int | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs b <= c of term indices within each segment of these sizes
-    (one int for one segment), segment by segment and each in row-major
-    order, as int32 arrays: n(n+1)/2 pairs for a segment of n terms."""
-    width = _pair_widths([sizes] if isinstance(sizes, int) else sizes)
+def _pair_table(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs b <= c of term indices within each segment whose pair widths
+    are `width` (`_pair_widths(sizes)`), segment by segment and each in
+    row-major order, as int32 arrays: n(n+1)/2 pairs for a segment of n
+    terms."""
     terms = np.arange(len(width), dtype=np.int32)
     return terms.repeat(width), _ranges(terms, width)
 
@@ -303,7 +303,8 @@ def _join(vals: list[int], sizes: Sequence[int]):
     # been read (the module docstring says why: heap trim and page faults).
     # Only the rows the join builds are mapped back through `order`; b and c
     # stay in pair order.
-    b, c = _pair_table(sizes)
+    width = _pair_widths(sizes)
+    b, c = _pair_table(width)
     # The b-side and c-side keys give both the sums and, in pair order, the
     # 3-1 differences v_b - v_c = 2 v_b - (v_b + v_c), with no third array.
     # The b-side keys carry their segment's tag, so the sums and the
@@ -317,7 +318,7 @@ def _join(vals: list[int], sizes: Sequence[int]):
     if len(sizes) > 1:
         tagged = key + _segment_tags(sizes)
         np.subtract(tagged, RESIDUE_PRIME, out=tagged, where=tagged >= RESIDUE_PRIME)
-    sums = tagged.repeat(_pair_widths(sizes))
+    sums = tagged.repeat(width)
     diffs = key[c]
     sums += diffs
     diffs *= -2

@@ -10,6 +10,7 @@ chosen to make the first term positive.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from dataclasses import dataclass
@@ -239,10 +240,18 @@ def find_relations(
     canonical value quadruple, independent of the backend in use.
 
     Every returned relation has passed every check of `Relation`, through
-    the same functions: `_term_product` once per magnitude, `_check_term`
-    once per signed value and `_check_values` on every row.  Terms are
+    the same functions.  When the kernel returns a row, every term of the
+    table is checked, -m before +m: `_term_product` once per magnitude and
+    `_check_term` once per signed value, so a spoiled entry raises even when
+    no row uses it.  Then `_check_values` runs on every row.  Terms are
     checked before any row, so a faulty kernel or term table reports a bad
     term before a bad row.
+
+    The cyclic garbage collector is paused while the terms and relations
+    are built, and restored as the caller had it.  None of them forms a
+    cycle, and none can be freed while this call holds it, yet each full
+    collection would rescan every one built so far: medium {2,3,5,7}
+    general:4 spent about half its time in the collector.
     """
     if len(s) == 0:
         raise ValueError("relation search needs a nonempty inversion set")
@@ -250,33 +259,42 @@ def find_relations(
     refuse_search(len(s), cfg.bound, limit)
     table = term_table(s, cfg.bound, ceiling=limit)
     rows = zero_quadruples(table.keys(), ceiling=limit)
-    # One shared (frozen) UnitTerm per signed value that occurs in a row,
-    # filled in as UnitTerm.__init__ would (term_table's exponents are tuples
-    # of ints and the sign is +-1 by construction).  Each row takes its terms
-    # by its own values, so every (term, value) pair of every relation is
-    # checked, and each Relation is filled in as Relation.__init__ would.
+    if not rows:
+        return []
+    # One shared (frozen) UnitTerm per signed value of the table, filled in
+    # through its slots as UnitTerm.__init__ would (term_table's exponents
+    # are tuples of ints and the sign is +-1 by construction).  Each row
+    # takes its terms by its own values, so every (term, value) pair of
+    # every relation is checked, and each Relation is filled in as
+    # Relation.__init__ would.
     primes = s.primes
-    signed = set(itertools.chain.from_iterable(rows))
-    new, set_field = object.__new__, object.__setattr__
-    terms = {}
-    for m in {abs(v) for v in signed}:
-        exps = table[m]
-        product = _term_product(primes, exps)
-        for v in (m, -m):
-            if v in signed:
+    new = object.__new__
+    set_sign, set_exponents = UnitTerm.sign.__set__, UnitTerm.exponents.__set__
+    set_inversion_set, set_terms = Relation.inversion_set.__set__, Relation.terms.__set__
+    set_values = Relation.values.__set__
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        terms = {}
+        for m, exps in table.items():
+            product = _term_product(primes, exps)
+            for v in (-m, m):
                 t = terms[v] = new(UnitTerm)
-                set_field(t, "sign", 1 if v > 0 else -1)
-                set_field(t, "exponents", exps)
+                set_sign(t, 1 if v > 0 else -1)
+                set_exponents(t, exps)
                 _check_term(t, v, product)
-    out = []
-    for row in rows:
-        _check_values(row)
-        a, b, c, d = row
-        rel = new(Relation)
-        set_field(rel, "inversion_set", s)
-        set_field(rel, "terms", (terms[a], terms[b], terms[c], terms[d]))
-        set_field(rel, "values", row)
-        out.append(rel)
+        out = []
+        for row in rows:
+            _check_values(row)
+            a, b, c, d = row
+            rel = new(Relation)
+            set_inversion_set(rel, s)
+            set_terms(rel, (terms[a], terms[b], terms[c], terms[d]))
+            set_values(rel, row)
+            out.append(rel)
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 

@@ -88,12 +88,17 @@ def survey_run(
     if pool_size < subset_size:
         raise ValueError("pool must be at least as large as the subset size")
     mode = mode or SearchConfig.linear()
-    pool = first_primes(pool_size)
     total = math.comb(pool_size, subset_size)
-
-    subsets: Iterable[tuple[int, ...]]
     if sample is not None and sample < 1:
         raise ValueError("sample must be >= 1")
+    if sample is None and not full and total > SUBSET_CEILING:
+        raise SearchTooLarge(
+            f"{total} subsets exceed the ceiling {SUBSET_CEILING}; "
+            "rerun with full=True (--full) or sampling (--sample N, fixed seed)"
+        )
+    pool = first_primes(pool_size)
+
+    subsets: Iterable[tuple[int, ...]]
     if sample is not None and sample < total:
         rng = random.Random(seed)
         picked: set[tuple[int, ...]] = set()
@@ -107,11 +112,6 @@ def survey_run(
                 f"subsets of the {sample} requested"
             )
         subsets = sorted(picked)
-    elif sample is None and not full and total > SUBSET_CEILING:
-        raise SearchTooLarge(
-            f"{total} subsets exceed the ceiling {SUBSET_CEILING}; "
-            "rerun with full=True (--full) or sampling (--sample N, fixed seed)"
-        )
     else:
         subsets = itertools.combinations(pool, subset_size)
 

@@ -324,7 +324,7 @@ def test_numpy_engine_matches_python_engine(values):
 def test_pair_table_of_segments(sizes):
     # Each segment's pairs, in row-major order and offset by the terms
     # before it, one segment after another.
-    b, c = backends._pair_table(sizes)
+    b, c = backends._pair_table(backends._pair_widths(sizes))
     assert b.dtype == c.dtype == np.int32
     pairs, start = [], 0
     for n in sizes:
@@ -337,7 +337,7 @@ def test_pair_table_of_segments(sizes):
 def test_pair_table_is_row_major(n):
     # The stable sort of the pair sums relies on this order (b ascending,
     # then c), which is the order of np.triu_indices.
-    b, c = backends._pair_table(n)
+    b, c = backends._pair_table(backends._pair_widths([n]))
     assert b.dtype == c.dtype == np.int32
     assert b.tolist() == [i for i in range(n) for _ in range(i, n)]
     assert c.tolist() == [j for i in range(n) for j in range(i, n)]

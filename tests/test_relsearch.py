@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import random
 import re
@@ -348,6 +349,43 @@ class TestFindRelationsChecks:
         with pytest.raises(ValueError) as searched:
             self._search(monkeypatch, table, [_ROW, row])
         assert str(searched.value) == str(direct.value)
+
+    def test_unused_spoiled_entry_raises(self, monkeypatch):
+        # Every term of the table is checked, not only the terms of the rows:
+        # no row uses 35.
+        table = {**_TABLE_5_7, 35: (0, 1)}
+        with pytest.raises(ValueError, match=r"does not evaluate to -35$"):
+            self._search(monkeypatch, table, [_ROW])
+
+    @pytest.fixture
+    def collector(self):
+        """The collector setting the test found, restored after it."""
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_setting_restored(self, monkeypatch, collector, enabled):
+        # The cyclic collector is off while rows become relations, and the
+        # caller's setting comes back, on or off.
+        seen = []
+        check_values = relsearch._check_values
+
+        def spy(values):
+            seen.append(gc.isenabled())
+            check_values(values)
+
+        monkeypatch.setattr(relsearch, "_check_values", spy)
+        (gc.enable if enabled else gc.disable)()
+        assert self._search(monkeypatch, _TABLE_5_7, [_ROW, _ROW])
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]
+
+    def test_collector_enabled_after_a_spoiled_row(self, monkeypatch, collector):
+        gc.enable()
+        with pytest.raises(ValueError, match="must sum to zero"):
+            self._search(monkeypatch, _TABLE_5_7, [_ROW, (7, -5, -1, 1)])
+        assert gc.isenabled()
 
 
 class TestTermTable:

@@ -155,6 +155,18 @@ class TestSurveyRun:
         with pytest.raises(SearchTooLarge):
             survey_run(50, 5)
 
+    def test_refusal_computes_no_primes(self, monkeypatch):
+        # The 2,118,760 subsets of survey --pool 50 --size 5 are refused
+        # before the pool's primes are computed.
+        def no_primes(count):
+            raise AssertionError("the prime pool was computed")
+
+        monkeypatch.setattr(survey_module, "first_primes", no_primes)
+        with pytest.raises(SearchTooLarge, match="^2118760 subsets exceed the ceiling "):
+            survey_run(50, 5)
+        with pytest.raises(ValueError, match="^sample must be >= 1$"):
+            survey_run(50, 5, sample=0)
+
     def test_sampling_deterministic(self):
         a_rows, a_agg = survey_run(10, 3, sample=30)
         b_rows, b_agg = survey_run(10, 3, sample=30)

@@ -5,7 +5,8 @@ Each mutant below breaks one rule: of the numpy engine's join, its segment
 tags and segment counts, its input check and pair-sum ceiling
 (`src/unitcycle/backends.py`); of the term table's and the survey's
 ceilings (`relsearch.py`, `survey.py`); of the term and row checks that
-every `Relation` passes, and the relation JSON reader (`relsearch.py`); of
+every `Relation` passes, the cyclic collector's restore after
+`find_relations` and the relation JSON reader (`relsearch.py`); of
 the prime and sign checks and the JSON readers' array, integer-or-string
 and string rules (`exactnum.py`, `sring.py`); of the certificate
 checks (`avoidance.py`, `cycles.py`, `lenstra.py`); or of the CLI's error
@@ -178,8 +179,15 @@ MUTANTS = [
     (
         "positive sign reused for the negative value",
         "relsearch.py",
-        'set_field(t, "sign", 1 if v > 0 else -1)',
-        'set_field(t, "sign", 1)',
+        "set_sign(t, 1 if v > 0 else -1)",
+        "set_sign(t, 1)",
+        RELSEARCH_TESTS,
+    ),
+    (
+        "collector left paused",
+        "relsearch.py",
+        "gc.enable()",
+        "pass",
         RELSEARCH_TESTS,
     ),
     (
