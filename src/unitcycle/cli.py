@@ -9,7 +9,10 @@ builder for its JSON body; `dispatch` calls the builder only for `--json`,
 so a text request builds no JSON.
 
 `main` can be called repeatedly in one process: the argparse parser is
-built once and reused, and each call parses into a fresh namespace.  Only a
+built once and reused, and each call parses into a fresh namespace.  A
+request is parsed once, by its command's own parser; only an argv that
+names no command, or that the command's parser leaves partly unread, goes
+through the top-level parser, which prints the help or usage error.  Only a
 caller that makes many requests in one process saves time by this; the
 console script makes one request per process.
 """
@@ -287,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Search and certify polynomial 4-cycles over rings Z[1/p1,...,1/pn].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's own parser by name, for dispatch's one parse per request.
+    parser.commands = sub.choices
 
     p = sub.add_parser("admits", parents=[common], help="search for a 4-term relation")
     p.add_argument("primes", help="comma-separated primes, e.g. 5,7")
@@ -372,13 +377,32 @@ def _without_digit_limit(build: Callable[[], dict]) -> dict:
         sys.set_int_max_str_digits(limit)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full parser gives argv, from the command's parser alone.
+
+    The top-level parser hands everything after the command name to that
+    command's parser, so parsing argv[1:] there gives the same namespace.
+    An argv that names no command, or that leaves arguments unrecognized,
+    goes through the full parser, which prints the help or usage error.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
+
+
 def dispatch(argv: list[str]) -> CommandResult:
     """Parse and run; maps input errors to exit 2 and resource limits to exit 3.
 
     The JSON body is built, inside the same error mapping, only for --json,
     with no limit on the digits of its integers.
     """
-    args = build_parser().parse_args(_normalize_argv(argv))
+    args = _parse(_normalize_argv(argv))
     try:
         code, text, body = args.func(args)
         return CommandResult(code, text, _without_digit_limit(body) if args.json else None)

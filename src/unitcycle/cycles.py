@@ -1,15 +1,19 @@
 """Cubic interpolation of 4-cycles, cycle verification, orbits, unit criteria.
 
-All polynomial arithmetic is exact over Fraction coefficients.  A 4-cycle
-witness couples a ring, four pairwise distinct points, and the unique cubic
-mapping each point to the next (cyclically); witnesses built here are always
-re-checkable with verify_cycle.
+All arithmetic is exact.  Polynomials keep Fraction coefficients, and
+evaluation and orbits run on their int numerators over one common
+denominator, with Fractions only at the edges.  A 4-cycle witness couples a
+ring, four pairwise distinct points, and the unique cubic mapping each point
+to the next (cyclically); witnesses built here are always re-checkable with
+verify_cycle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Sequence, Union
 
 from .backends import SearchTooLarge, resolve_ceiling
@@ -60,12 +64,33 @@ class RationalPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(L, numerators): L the least common denominator of the coefficients,
+        and each coefficient times L, highest degree first.  Not a field, so
+        equality, hashing and str() see the coefficients alone."""
+        den = lcm(*(c.denominator for c in self.coefficients))
+        return den, tuple(c.numerator * (den // c.denominator) for c in reversed(self.coefficients))
+
+    def _horner(self, n: int, d: int) -> tuple[int, int]:
+        """p(n/d) for d > 0 as a (numerator, denominator) pair, not reduced.
+
+        Homogeneous Horner on the int numerators: with degree m, the
+        numerator is the sum of a_k n^k d^(m-k), the denominator L d^m.
+        """
+        den, coefficients = self._scaled
+        if not coefficients:
+            return 0, 1
+        acc = coefficients[0]
+        power = 1
+        for a in coefficients[1:]:
+            power *= d
+            acc = acc * n + a * power
+        return acc, den * power
+
     def evaluate(self, x: Rational) -> Fraction:
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return Fraction(*self._horner(x.numerator, x.denominator))
 
     def __call__(self, x: Rational) -> Fraction:
         return self.evaluate(x)
@@ -205,18 +230,18 @@ def orbit(poly: RationalPolynomial, start: Rational, max_iter: int) -> OrbitRepo
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     x = Fraction(start)
-    seen = {x: 0}
+    # Each iterate as its (numerator, denominator) pair in lowest terms.
+    n, d = x.numerator, x.denominator
+    seen = {(n, d): 0}
     for i in range(1, max_iter + 1):
-        x = poly.evaluate(x)
-        if (
-            x.numerator.bit_length() > BIT_CEILING
-            or x.denominator.bit_length() > BIT_CEILING
-        ):
+        n, d = poly._horner(n, d)
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if n.bit_length() > BIT_CEILING or d.bit_length() > BIT_CEILING:
             return OrbitReport("escaping", None, None, i)
-        if x in seen:
-            first = seen[x]
+        first = seen.setdefault((n, d), i)
+        if first != i:
             return OrbitReport("periodic", first, i - first, i)
-        seen[x] = i
     return OrbitReport("no_cycle", None, None, max_iter)
 
 

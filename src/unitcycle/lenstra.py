@@ -71,26 +71,33 @@ def unit_difference_clique(
     # With D = prod(p**bound), each candidate c is the int D*c, and c - x is
     # a unit iff D*c - D*x has S-free cofactor 1.
     d, scaled = scaled_unit_scan(s, bound)
-    primes = s.primes
     candidates = [c for c in scaled if c != d]
-
-    def extend(chosen: list[int], start: int) -> list[int] | None:
-        if len(chosen) == k:
-            return chosen
-        for idx in range(start, len(candidates)):
-            c = candidates[idx]
-            if all(c != x and cofactor_over(c - x, primes) == 1 for x in chosen):
-                chosen.append(c)
-                hit = extend(chosen, idx + 1)
-                if hit is not None:
-                    return hit
-                chosen.pop()
-        return None
-
-    hit = extend([0, d], 0)
+    hit = _extend_clique([0, d], candidates, 0, k, s.primes)
     if hit is None:
         return None
     return CliqueWitness(s, tuple(Fraction(x, d) for x in hit))
+
+
+def _extend_clique(
+    chosen: list[int], candidates: list[int], start: int, k: int, primes: tuple[int, ...]
+) -> list[int] | None:
+    """chosen extended to k elements from candidates[start:], in scan order.
+
+    A module-level function, not a closure that calls itself: such a closure
+    is a reference cycle, which would keep the candidates alive until the
+    cyclic garbage collector runs.
+    """
+    if len(chosen) == k:
+        return chosen
+    for idx in range(start, len(candidates)):
+        c = candidates[idx]
+        if all(c != x and cofactor_over(c - x, primes) == 1 for x in chosen):
+            chosen.append(c)
+            hit = _extend_clique(chosen, candidates, idx + 1, k, primes)
+            if hit is not None:
+                return hit
+            chosen.pop()
+    return None
 
 
 def z2_four_clique_obstruction(bound: int) -> bool:

@@ -252,3 +252,31 @@ def lagrange_cubic_oracle(xs) -> list[Fraction]:
         for d, c in enumerate(basis):
             coeffs[d] += xs[(i + 1) % 4] * c / denom
     return coeffs
+
+
+def horner_oracle(coefficients, x) -> Fraction:
+    """p(x) by Horner's rule in Fraction arithmetic, coefficients lowest degree first."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + Fraction(c)
+    return acc
+
+
+def orbit_oracle(coefficients, start, max_iter: int, bit_ceiling: int):
+    """(outcome, preperiod, period, iterations) of x -> p(x) iterated from start.
+
+    Every iterate is a Fraction, kept in a dict of first visits; an iterate
+    whose numerator or denominator has more than bit_ceiling bits ends the
+    run as "escaping".
+    """
+    x = Fraction(start)
+    seen = {x: 0}
+    for i in range(1, max_iter + 1):
+        x = horner_oracle(coefficients, x)
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_ceiling:
+            return "escaping", None, None, i
+        if x in seen:
+            return "periodic", seen[x], i - seen[x], i
+        seen[x] = i
+    return "no_cycle", None, None, max_iter

@@ -558,3 +558,136 @@ def test_survey_default_seed_after_explicit_seed(tmp_path, monkeypatch, capsys):
     seeded = _run(capsys, [*survey, "--seed", "2"])
     assert seeded[0] == 0 and seeded != default  # the seed picks other subsets
     assert _run(capsys, survey) == default
+
+
+# -- one parse per request ----------------------------------------------------
+
+# The benchmark's cli-mix requests (perfbench/catalogue.py's CLI_SLOTS), copied.
+_BENCH_REL_3 = json.dumps(
+    {
+        "inversion_set": [3],
+        "terms": [
+            {"sign": 1, "exponents": [1], "value": "3"},
+            {"sign": -1, "exponents": [0], "value": "-1"},
+            {"sign": -1, "exponents": [0], "value": "-1"},
+            {"sign": -1, "exponents": [0], "value": "-1"},
+        ],
+    }
+)
+_BENCH_REL_57 = json.dumps(
+    {
+        "inversion_set": [5, 7],
+        "terms": [
+            {"sign": 1, "exponents": [0, 1], "value": "7"},
+            {"sign": -1, "exponents": [1, 0], "value": "-5"},
+            {"sign": -1, "exponents": [0, 0], "value": "-1"},
+            {"sign": -1, "exponents": [0, 0], "value": "-1"},
+        ],
+    }
+)
+_BENCH_SURVEY = ["survey", "--pool", "10", "--size", "4", "--mode", "linear", "--sample", "5", "--seed"]
+_BENCH_FILES = ["--csv", ".bench_out/survey.csv", "--svg", ".bench_out/survey.svg"]
+CLI_MIX = [
+    ["admits", "5,7"],
+    ["admits", "3"],
+    ["admits", "2,3", "--mode", "general:2"],
+    ["admits", "2,5", "--json"],
+    ["admits", "3,5", "--mode", "npower:2", "--json"],
+    ["admits", "5,7", "--json"],
+    ["admits", "5", "--mode", "general:10"],
+    ["admits", "7", "--mode", "general:9"],
+    ["admits", "11", "--mode", "general:8", "--json"],
+    ["admits", "13", "--mode", "general:8"],
+    ["admits", "7,11", "--mode", "general:2", "--json"],
+    ["zieve", "--ring", "2", "--bound", "2"],
+    ["zieve", "--ring", "3", "--bound", "2", "--json"],
+    ["zieve", "--ring", "5", "--bound", "6"],
+    ["zieve", "--ring", "7", "--bound", "5", "--json"],
+    ["lenstra", "--ring", "2", "--k", "3", "--bound", "4"],
+    ["lenstra", "--ring", "2", "--k", "4", "--bound", "6"],
+    ["lenstra", "--ring", "3", "--k", "3", "--bound", "3", "--json"],
+    ["lenstra", "--ring", "2,3", "--k", "4", "--bound", "1", "--json"],
+    ["certify-avoid", "5,17,257", "--mode", "linear", "--json"],
+    ["certify-avoid", "5,7"],
+    ["certify-avoid", "7,29", "--mode", "linear", "--json"],
+    ["build-avoiding", "--k", "3", "--n", "1"],
+    ["build-avoiding", "--k", "2", "--n", "2", "--json"],
+    ["interpolate", "1,2,3,4", "--ring", "3"],
+    ["interpolate", "1,2,3,4", "--ring", "2"],
+    ["interpolate", "1,2,3,4", "--ring", "3", "--json"],
+    ["interpolate", "-10,-5,-4,1", "--ring", "5,11", "--json"],
+    ["verify-cycle", "--poly", H_POLY, "--points", H_POINTS, "--ring", "5,11"],
+    ["verify-cycle", "--poly", H_POLY, "--points", "1,2,3,4", "--ring", "5,11"],
+    ["verify-cycle", "--poly", "5,-19/3,4,-2/3", "--points", "1,2,3,4", "--ring", "3"],
+    ["orbit", "--poly", "5,-19/3,4,-2/3", "--start", "1", "--max", "10"],
+    ["orbit", "--poly", "1,1", "--start", "0", "--max", "50"],
+    ["orbit", "--poly", "1,0,1", "--start", "1", "--json"],
+    ["abc-pair", "--C", "1", "--m", "9"],
+    ["abc-pair", "--C", "1", "--m", "9", "--json"],
+    ["bb-check", "--relation", _BENCH_REL_3, "--C", "1", "--eps", "1"],
+    ["bb-check", "--relation", _BENCH_REL_3, "--C", "1/28", "--eps", "0"],
+    ["bb-check", "--relation", _BENCH_REL_57, "--C", "1", "--eps", "1/2", "--json"],
+    ["admits", "4"],
+    ["abc-pair", "--C", "1", "--m", "8"],
+    ["interpolate", "1,2,2,4", "--ring", "3"],
+    ["bb-check", "--relation", "not json", "--C", "1", "--eps", "0"],
+    [*_BENCH_SURVEY, "2"],
+    [*_BENCH_SURVEY, "4", "--json"],
+    [*_BENCH_SURVEY, "5", *_BENCH_FILES],
+    [*_BENCH_SURVEY, "6", "--json", *_BENCH_FILES],
+    ["zieve", "--ring", "2,3,5", "--bound", "30", "--ceiling", "100"],
+    ["survey", "--pool", "50", "--size", "5"],
+    ["admits", "5,7", "--ceiling", "3"],
+]
+_COMMANDS = [
+    "admits", "interpolate", "verify-cycle", "orbit", "zieve", "certify-avoid",
+    "build-avoiding", "abc-pair", "bb-check", "lenstra", "survey",
+]
+PARSE_MATRIX = [
+    *(argv for argv, _, _ in EXIT_MATRIX),
+    *(argv for argv, _ in README_EXAMPLES),
+    *CLI_MIX,
+    *([command, "-h"] for command in _COMMANDS),
+    ["-h"],
+    [],
+    ["frobnicate", "5,7"],  # an unknown command
+    ["--json", "admits", "5,7"],  # an option before the command
+    ["admits", "5,7", "--frob"],  # a trailing unrecognized argument
+    ["admits", "5,7", "extra"],  # a second positional
+    ["admits", "5,7", "--mo", "general:2"],  # an abbreviated option
+    ["admits", "--", "5,7"],  # a separator
+    ["admits", "5,7", "--", "--json"],
+    ["interpolate", "-10,-5,-4,1", "--ring", "5,11"],  # negative values
+    ["orbit", "--poly", "-1,0,1", "--start", "-1", "--max", "5"],
+    ["orbit", "--poly", "1,1", "--start", "0", "--max", "x"],  # an invalid int
+    ["orbit", "--poly", "1,1"],  # a required option missing
+]
+
+
+def test_parse_matrix_names_every_command():
+    assert set(_COMMANDS) == set(cli.build_parser().commands)
+
+
+def _full_parse_only(monkeypatch):
+    """Make every command lookup miss, so each argv takes the full parser."""
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+
+
+def _namespace(argv):
+    try:
+        return vars(cli._parse(cli._normalize_argv(list(argv))))
+    except SystemExit as e:
+        return ("exit", e.code)
+
+
+@pytest.mark.parametrize("argv", PARSE_MATRIX, ids=lambda v: " ".join(v)[:60] or "(empty)")
+def test_one_parse_matches_full_parse(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ".bench_out").mkdir()
+    one = _run(capsys, argv), _namespace(argv)
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        _full_parse_only(m)
+        full = _run(capsys, argv), _namespace(argv)
+        capsys.readouterr()
+    assert one == full

@@ -3,10 +3,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_member_oracle, lagrange_cubic_oracle, trial_factor, zieve_oracle
+from helpers import (
+    horner_oracle,
+    is_member_oracle,
+    lagrange_cubic_oracle,
+    orbit_oracle,
+    trial_factor,
+    zieve_oracle,
+)
+from unitcycle import cycles
 from unitcycle.backends import SearchTooLarge
 from unitcycle.cycles import (
     CycleWitness,
@@ -22,6 +30,11 @@ from unitcycle.relsearch import Relation, SearchConfig, find_relations
 from unitcycle.sring import InversionSet
 
 F = Fraction
+
+SMALL_FRACTIONS = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4, 6]))
+# Degree 0-4 with negative coefficients; an all-zero list is the zero polynomial.
+POLY_COEFFICIENTS = st.lists(SMALL_FRACTIONS | st.just(F(0)), max_size=5)
+STARTS = st.integers(-6, 6) | SMALL_FRACTIONS
 
 # The four published cycles: (points, primes, coefficients lowest degree first).
 GOLDEN = [
@@ -137,7 +150,103 @@ class TestLagrange:
             lagrange_cycle_poly(points, InversionSet.of(3))
 
 
+class TestIntegerEvaluation:
+    """evaluate and orbit run on int numerators; the oracles in Fractions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(coefficients=POLY_COEFFICIENTS, x=STARTS)
+    def test_evaluate_matches_fraction_horner(self, coefficients, x):
+        value = RationalPolynomial(tuple(coefficients)).evaluate(x)
+        assert type(value) is Fraction
+        assert value == horner_oracle(coefficients, x)
+
+    def test_scaled_numerators_are_not_a_field(self):
+        p = RationalPolynomial((F(1, 2), F(-2, 3)))
+        q = RationalPolynomial((F(1, 2), F(-2, 3)))
+        p.evaluate(1)
+        assert p == q and hash(p) == hash(q)
+        assert repr(p) == repr(q) and str(p) == str(q)
+        assert p.to_json_list() == ["1/2", "-2/3"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        coefficients=POLY_COEFFICIENTS,
+        start=STARTS,
+        max_iter=st.integers(1, 30),
+        bit_ceiling=st.sampled_from([8, 24, 64, cycles.BIT_CEILING]),
+    )
+    @example(coefficients=[F(5), F(-19, 3), F(4), F(-2, 3)], start=1, max_iter=10, bit_ceiling=64)
+    @example(coefficients=[F(1), F(1)], start=0, max_iter=20, bit_ceiling=64)
+    @example(coefficients=[F(1), F(0), F(1)], start=1, max_iter=30, bit_ceiling=64)
+    def test_orbit_matches_fraction_oracle(self, coefficients, start, max_iter, bit_ceiling):
+        # The escape test reads cycles.BIT_CEILING when it runs.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "BIT_CEILING", bit_ceiling)
+            rep = orbit(RationalPolynomial(tuple(coefficients)), start, max_iter)
+        expected = orbit_oracle(coefficients, start, max_iter, bit_ceiling)
+        assert (rep.outcome, rep.preperiod, rep.period, rep.iterations) == expected
+
+    def test_orbit_grid_covers_every_outcome(self, monkeypatch):
+        # Every polynomial of degree <= 2 with coefficients in {-1, 0, 1}.
+        monkeypatch.setattr(cycles, "BIT_CEILING", 32)
+        outcomes = set()
+        for coefficients in itertools.product((-1, 0, 1), repeat=3):
+            for start in (-1, 0, F(1, 2), 2, F(-5, 3)):
+                rep = orbit(RationalPolynomial(coefficients), start, 12)
+                expected = orbit_oracle(coefficients, start, 12, 32)
+                assert (rep.outcome, rep.preperiod, rep.period, rep.iterations) == expected
+                outcomes.add(rep.outcome)
+        assert outcomes == {"periodic", "no_cycle", "escaping"}
+
+
+def _times_linear(coefficients: list[Fraction], root: Fraction) -> list[Fraction]:
+    """The coefficients of p(x) * (x - root), lowest degree first."""
+    return [lo - root * hi for lo, hi in zip([F(0), *coefficients], [*coefficients, F(0)])]
+
+
+def _verify_oracle(primes, points, coefficients) -> str | None:
+    """verify_cycle's reason code, from the oracles alone."""
+    if len(set(points)) != 4:
+        return "repeated_point"
+    if not all(is_member_oracle(x, primes) for x in points):
+        return "point_not_in_ring"
+    if not all(is_member_oracle(c, primes) for c in coefficients):
+        return "coefficient_not_in_ring"
+    for i, x in enumerate(points):
+        if horner_oracle(coefficients, x) != points[(i + 1) % 4]:
+            return f"point_{i}_does_not_map_to_successor"
+    return None
+
+
 class TestVerifyCycle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3])), min_size=4, max_size=4),
+        primes=st.sampled_from([(), (2,), (3,), (2, 3)]),
+        spoil=st.none() | st.tuples(st.integers(0, 3), st.sampled_from([F(1), F(-2), F(1, 2)])),
+    )
+    @example(points=[F(1), F(1), F(3), F(4)], primes=(3,), spoil=None)
+    @example(points=[F(1, 2), F(1), F(3), F(4)], primes=(3,), spoil=None)
+    @example(points=[F(1), F(2), F(3), F(4)], primes=(), spoil=None)
+    @example(points=[F(1), F(2), F(3), F(4)], primes=(3,), spoil=None)
+    @example(points=[F(1), F(2), F(3), F(4)], primes=(3,), spoil=(0, F(1)))
+    @example(points=[F(1), F(2), F(3), F(4)], primes=(3,), spoil=(1, F(1)))
+    @example(points=[F(1), F(2), F(3), F(4)], primes=(3,), spoil=(2, F(1)))
+    @example(points=[F(1), F(2), F(3), F(4)], primes=(3,), spoil=(3, F(1)))
+    def test_reason_matches_oracle(self, points, primes, spoil):
+        # The interpolating cubic when the points are distinct, spoiled by
+        # delta * (x - x_0)...(x - x_{i-1}), which moves the image of x_i first.
+        coefficients = lagrange_cubic_oracle(points) if len(set(points)) == 4 else [F(0), F(1)]
+        if spoil is not None:
+            i, delta = spoil
+            extra = [delta]
+            for x in points[:i]:
+                extra = _times_linear(extra, x)
+            coefficients = [a + b for a, b in itertools.zip_longest(coefficients, extra, fillvalue=F(0))]
+        w = CycleWitness(InversionSet(primes), tuple(points), RationalPolynomial(tuple(coefficients)))
+        expected = _verify_oracle(primes, points, coefficients)
+        assert verify_cycle(w) == (expected is None, expected)
+
     def test_golden_cycles_verify(self):
         for points, primes, coeffs in GOLDEN:
             w = CycleWitness(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import clique_oracle, is_unit_oracle, trial_factor, z2_obstruction_oracle
-from unitcycle import lenstra
+from unitcycle import cli, lenstra
 from unitcycle.backends import SearchTooLarge
 from unitcycle.exactnum import cofactor_over
 from unitcycle.lenstra import (
@@ -182,3 +183,28 @@ class TestAdmissibleCycleLength:
     def test_validation(self):
         with pytest.raises(ValueError):
             z2_admissible_cycle_length(0)
+
+
+class TestNoReferenceCycles:
+    """A clique search leaves nothing for the cyclic garbage collector."""
+
+    @staticmethod
+    def _garbage_after(call) -> int:
+        call()  # warm-up: the parser and any module-level caches
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_unit_difference_clique(self):
+        assert self._garbage_after(lambda: unit_difference_clique(InversionSet.of(2), 3, 4)) == 0
+        assert self._garbage_after(lambda: unit_difference_clique(InversionSet.of(2), 4, 6)) == 0
+
+    def test_lenstra_command(self):
+        argv = ["lenstra", "--ring", "2", "--k", "3", "--bound", "4"]
+        assert self._garbage_after(lambda: cli.dispatch(argv)) == 0

@@ -9,10 +9,12 @@ every `Relation` passes, the cyclic collector's restore after
 `find_relations` and the relation JSON reader (`relsearch.py`); of
 the prime and sign checks and the JSON readers' array, integer-or-string
 and string rules (`exactnum.py`, `sring.py`); of the certificate
-checks (`avoidance.py`, `cycles.py`, `lenstra.py`); or of the CLI's error
-mapping (`cli.py`).  For each one this script copies the package to a
-temporary directory, applies the mutation to the named file of the copy,
-and runs the mutant's test files against the copy.  Every mutant must make
+checks (`avoidance.py`, `cycles.py`, `lenstra.py`); of the int-numerator
+evaluation and orbits (`cycles.py`); or of the CLI's error mapping and its
+hand-over of unrecognized arguments to the full parser (`cli.py`).  For
+each one this script copies the package to a temporary directory, applies
+the mutation to the named file of the copy, and runs the mutant's test
+files against the copy.  Every mutant must make
 those tests fail; a mutant that passes means the tests no longer pin that
 rule.  The unmutated copy must pass first.
 
@@ -311,6 +313,21 @@ MUTANTS = [
         "if False:",
         CYCLES_TESTS,
     ),
+    # Evaluation and orbits on int numerators.
+    (
+        "orbit's pair left unreduced",
+        "cycles.py",
+        "g = gcd(n, d)",
+        "g = 1",
+        CYCLES_TESTS,
+    ),
+    (
+        "Horner's power of d taken one step late",
+        "cycles.py",
+        "power *= d\n            acc = acc * n + a * power",
+        "acc = acc * n + a * power\n            power *= d",
+        CYCLES_TESTS,
+    ),
     (
         "CliqueWitness distinctness test dropped",
         "lenstra.py",
@@ -318,12 +335,19 @@ MUTANTS = [
         "if False:",
         ("tests/test_lenstra.py",),
     ),
-    # The CLI's error mapping.
+    # The CLI's error mapping and its one parse per request.
     (
         "dispatch OSError mapping dropped",
         "cli.py",
         "except (ValueError, ZeroDivisionError, OSError) as e:",
         "except (ValueError, ZeroDivisionError) as e:",
+        CLI_TESTS,
+    ),
+    (
+        "unrecognized arguments not sent to the full parser",
+        "cli.py",
+        "if extra:",
+        "if False:",
         CLI_TESTS,
     ),
 ]
