@@ -11,39 +11,50 @@ i <= j <= k <= l with
 reported as the value quadruple (W[i], W[j], W[k], W[l]).
 
 Every hit has one of two shapes: 2-2, v_a + v_b = v_c + v_d, or 3-1,
-v_a = v_b + v_c + v_d.  The numpy engine sorts one table, the pairs b <= c
-keyed by v_b + v_c, and joins it twice: the members of each equal-key run
-with one another (2-2), and the differences v_a - v_d, looked up in it, with
-their matches (3-1).  Runs are read off the neighbours with equal keys, so
-only runs of two or more are expanded.  The differences come in pair order
-from the same term keys as the sums.  Most of them match no sum, so a
-presence table of the sums (one flag per hash slot, 16 to 32 slots per sum
-up to 128 KB of flags, two to four in larger tables) drops most of those
-first; each that passes takes one left search and an equality test,
-and only the hits take the right-side search that finds the end of their
-run.  Only the rows the join builds are mapped back through the sort order.
+v_a = v_b + v_c + v_d.  In a 3-1 hit with v_b >= v_c >= v_d, v_a <= 3 v_b,
+so bitlen(v_b) >= bitlen(v_a) - 2: the largest subtrahend lies within two
+bits of v_a.  The values of an S-unit box spread geometrically, so few
+pairs are that close.  The numpy engine builds one table, row by row: row
+b holds the probes (a, b), a < b within that window, keyed by v_a - v_b,
+and then the pairs (b, c), c >= b, keyed by v_b + v_c.  It packs each key
+as one uint64 word, the top bits of its Fibonacci hash above the entry's
+index, and sorts the words once, in place.  Equal keys form one run, in
+table order; the words are distinct, so the sort need not be stable.  Runs
+are read off the neighbours with equal words above the index bits, so only
+runs of two or more are expanded: every two entries x < y of a run whose y
+is a pair (c, d).  A pair at x gives a 2-2 row and a probe (a, b) a 3-1 row;
+table order puts b <= c in both, so each relation comes out once, with b
+the largest subtrahend of a 3-1 row.  A y that is a probe repeats a
+relation found from another entry and is dropped: on {2,3,5,7} general:4,
+625 terms, the runs give 751,106 candidates for 415,963 rows, where the
+earlier join, which looked every pair's difference up in the sorted sums,
+built 813,227.  Keys that share only the top bits of their hashes land in
+one run too, and the exact-sum test drops their rows.
 The python engine matches negated two-term sums: enumerate pairs (a <= b),
 bucket by sum, and join each bucket with its negation under the interleave
 constraint b <= c, which yields every sorted quadruple exactly once.
 
 Segments: one numpy join can search many term sets at once.  Their term
-lists, each largest first, are laid end to end, and the pair table holds
-the pairs within each segment, offset by the terms before it.  Segment s
-adds a tag t_s = s * _TAG_STEP mod RESIDUE_PRIME to its b-side keys, so
-its sums and its differences both carry t_s, at the cost of one pass over
-the terms, none over the table.  A row that joins segments s != s' matches
-only when its exact sum is congruent to t_s - t_s' or t_s' - t_s mod P,
-which is not 0 because the tags are distinct mod P; the exact-sum test
-that drops residue collisions drops these rows too.  Segment 0's tag is 0,
-so a one-segment join adds none, and zero_quadruples is the one-segment
-case of the same join.  count_zero_quadruples returns, per
-segment, the number of rows whose exact sum is 0, with no rank rows, no
-row sort and no Relation objects; survey_run counts every subset with it.
+lists, each largest first, are laid end to end, and the table holds the
+probes and pairs within each segment, offset by the terms before it.
+Segment s adds a tag t_s = s * _TAG_STEP mod RESIDUE_PRIME to the partner
+side of its keys, so its sums and its differences both carry t_s, at the
+cost of one pass over the terms, none over the table.  A row that joins
+segments s != s' matches only when its exact sum is congruent to
+t_s - t_s' or t_s' - t_s mod P, which is not 0 because the tags are
+distinct mod P; the exact-sum test that drops residue collisions drops
+these rows too.  Segment 0's tag is 0, so a one-segment join adds none,
+and zero_quadruples is the one-segment case of the same join.
+count_zero_quadruples returns, per segment, the number of rows whose exact
+sum is 0, with no rank rows, no row sort and no Relation objects;
+survey_run counts every subset with it.
 The survey puts at most min(ceiling, BATCH_PAIR_SUMS = 2^17) pair sums in
 one join.  survey_run(20, 5), 15,504 subsets of 528 pair sums each, took
 0.90-0.92 s and 38.8 MB peak RSS with batches of 2^17 pair sums, 0.94-1.01 s
 and 35.0 MB with 2^16, 1.03-1.10 s and 44.4 MB with 2^18, and 1.17 s and
-122 MB with the default ceiling's 2M (2 vCPU, Python 3.11, numpy 2.4).
+122 MB with the default ceiling's 2M, when the join looked every pair's
+difference up in the sorted sums; with the probes of the two-bit window
+it takes 0.63 s against 0.88 s (2 vCPU, Python 3.11, numpy 2.4).
 
 Two interchangeable engines:
 
@@ -54,15 +65,25 @@ Two interchangeable engines:
              each hit drops the false positives.
   * python - pure-Python hash join on unbounded integers, the reference.
 
-Memory: the numpy engine keeps term indices in int32, computes sums and
-differences in place, and drops each table-sized array once it has been
-read.  This is for speed as much as size.  When a call frees a heap's worth
-of temporaries together, glibc trims the top of the heap back to the OS, and
-the next call faults those pages in again.  On the benchmark's 256-term
-`wide` sets, int64 indices with every temporary held to the end cost 1,040
-minor page faults per call and a traced peak of 3.98 MB; now a call takes
-about 210 faults and 1.23 MB.  On the 125-term `bigint` sets faults fell
-from 182 per call to 0.
+Memory: the numpy engine keeps term indices in int32, computes keys in
+place, and drops each table-sized array once it has been read; the one
+spare table-sized buffer, which takes the other candidate of each key's
+reduction mod P, then takes the XOR of the sorted neighbours.  This is for
+speed as much as size.  When a call frees a heap's worth of temporaries
+together, glibc trims the top of the heap back to the OS, and the next call
+faults those pages in again.  On the benchmark's 256-term `wide` sets,
+int64 indices with every temporary held to the end cost 1,040 minor page
+faults per call and a traced peak of 3.98 MB; the join of every pair's
+difference took 1.24 MB, and the table of close probes takes 1.23 MB.
+find_relations on those sets takes 260 faults per call, against 290 with
+that earlier join; zero_quadruples alone takes 115-261, against 193-209,
+as the heap left by the process's earlier calls decides what is trimmed.
+On the 125-term `bigint` sets calls take none.
+The table holds at most n^2 entries for n terms: the n(n+1)/2 pair sums
+that the ceiling counts, and fewer probes than that.  The sort loads
+numpy's quicksort code for uint64, and the row sort its quicksort argsort
+for int64, where the earlier join used only its stable argsort: about
+0.4-0.8 MB more peak RSS per process, once.
 
 Selection: environment variable UNITCYCLE_BACKEND = numpy | python
 (unset or "auto" picks numpy), read by zero_quadruples and
@@ -197,7 +218,7 @@ def _zero_quads_python(values: Sequence[int]) -> list[tuple[int, int, int, int]]
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges [starts[x], starts[x] + counts[x]), concatenated, in counts' dtype."""
-    ends = counts.cumsum(dtype=counts.dtype)
+    ends = np.add.accumulate(counts, dtype=counts.dtype)
     flat = (starts - ends + counts).repeat(counts)
     flat += np.arange(len(flat), dtype=flat.dtype)
     return flat
@@ -209,151 +230,125 @@ def _pair_widths(sizes: Sequence[int]) -> np.ndarray:
     return np.concatenate([np.arange(n, 0, -1, dtype=np.int32) for n in sizes])
 
 
-def _pair_table(width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs b <= c of term indices within each segment whose pair widths
-    are `width` (`_pair_widths(sizes)`), segment by segment and each in
-    row-major order, as int32 arrays: n(n+1)/2 pairs for a segment of n
-    terms."""
+def _pair_table(width: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The join's table as two int32 columns, each entry's row t and partner.
+
+    Row t holds the partners low[t], ..., t - 1, which make the probes
+    (a, t) with a < t, and then t, ..., to the end of its segment, which
+    make the pairs (t, c) with c >= t; `width` is `_pair_widths(sizes)`.
+    With low[t] = t there are no probes, and the table is the pairs b <= c
+    of each segment in row-major order: n(n+1)/2 for a segment of n terms.
+    """
     terms = np.arange(len(width), dtype=np.int32)
-    return terms.repeat(width), _ranges(terms, width)
+    count = terms - low + width
+    return terms.repeat(count), _ranges(low, count)
 
 
-# Fibonacci hashing: 2^64 divided by the golden ratio, odd.  The top bits of
-# key * _HASH_MULT mod 2^64 spread residues evenly over the presence table.
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+# Fibonacci hashing: 2^64 divided by the golden ratio, odd.  Multiplying by
+# it mod 2^64 permutes uint64, and the top bits of the product spread keys
+# evenly; the join sorts its table by those bits.  The constants are 0-d
+# arrays, which numpy applies in about half the time of a scalar: most
+# arrays of a small search hold a few dozen entries.
+_HASH_MULT = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_PRIME = np.array(RESIDUE_PRIME, dtype=np.uint64)
 
-# Segment s of a join adds the tag s * _TAG_STEP mod P to its b-side keys.
-# The tags are distinct mod P, and this step spreads them like the hash
-# does.  With a step of 1, nearby sums of neighbouring segments share keys:
-# a batch of 248 five-prime subsets built 8.79M candidate rows instead of
-# 59,410 (and with every tag 0 it counted 5.2M relations, not 31,379).
+# Segment s of a join adds the tag s * _TAG_STEP mod P to the partner side
+# of its keys.  The tags are distinct mod P, and this step spreads them
+# like the hash does.  With a step of 1, nearby sums of neighbouring
+# segments share keys: a batch of 248 five-prime subsets built 8.79M
+# candidate rows instead of 59,410 (and with every tag 0 it counted 5.2M
+# relations, not 31,379).
 _TAG_STEP = int(_HASH_MULT) % RESIDUE_PRIME
 
 
-def _slots(keys: np.ndarray, bits: int) -> np.ndarray:
-    """Each int64 key's slot in a table of 2**bits: the top bits of its hash.
-
-    The slots come back as int64, which numpy indexes with no copy (it
-    converts a uint64 index array first).
-    """
-    slots = keys.view(np.uint64) * _HASH_MULT
-    slots >>= np.uint64(64 - bits)
-    return slots.view(np.int64)
-
-
-# The largest presence table that gives a key more than two to four slots:
-# 2^17 one-byte flags, 128 KB.  A larger table cost more to fill and probe
-# than its fewer false probes saved (2^19 flags on 32,896 keys).
-_PRESENCE_BITS = 17
-
-
-def _maybe_members(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """The indices, ascending, of the probes whose hash slot holds some key.
-
-    The presence table has one flag per slot: 16 to 32 slots per key while
-    that fits in 2**_PRESENCE_BITS flags, fewer up to that size, and never
-    fewer than two to four.  A probe equal to a key has that key's slot, so
-    this drops no member; the probes it keeps that are not members are for
-    the caller's exact test.
-    """
-    k = len(keys).bit_length()
-    bits = max(k + 1, min(k + 4, _PRESENCE_BITS))
-    present = np.zeros(1 << bits, dtype=bool)
-    present[_slots(keys, bits)] = True
-    return present[_slots(probes, bits)].nonzero()[0]
-
-
-def _find(table: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, first): the indices x of the probes equal to some key of the sorted
-    int64 array table, and for each the position of its first equal key.
-
-    One left search finds where each probe would sit; it is a member if the
-    key there equals it.  A probe above every key sits past the end, and the
-    clip compares it with the last key instead.
-    """
-    first = table.searchsorted(probes)
-    x = (table.take(first, mode="clip") == probes).nonzero()[0]
-    return x, first[x]
-
-
 def _segment_tags(sizes: Sequence[int]) -> np.ndarray:
-    """Each term's tag, s * _TAG_STEP mod P for a term of segment s, as int64."""
+    """Each term's tag, s * _TAG_STEP mod P for a term of segment s, as uint64."""
     tags = [s * _TAG_STEP % RESIDUE_PRIME for s in range(len(sizes))]
-    return np.array(tags, dtype=np.int64).repeat(sizes)
+    return np.array(tags, dtype=np.uint64).repeat(sizes)
 
 
-def _join(vals: list[int], sizes: Sequence[int]):
+def _join(vals: list[int], sizes: Sequence[int]) -> np.ndarray:
     """The numpy engine's join over segments of these sizes, laid end to end
     in vals, each segment's distinct values largest first.
 
-    Returns (b, c, outer, inner, two_two): the pair table's columns, and for
-    each candidate row the indices of its outer pair (u, v) and inner pair
-    (b, c) in that table; the first two_two rows are 2-2, v_u + v_v =
-    v_b + v_c, and the rest 3-1, v_u = v_b + v_c + v_v.  Every relation
-    of a segment is one row.  A row whose sum vanishes only mod
-    RESIDUE_PRIME, or whose terms come from two segments, is a row too,
-    and its exact sum is not 0.
+    Returns a 4 x k int32 array whose columns are the candidate rows as term
+    indices (t0, t1, t2, t3), each standing for s v_t0 - v_t1 - v_t2 +
+    v_t3 = 0.  A 2-2 row, v_t0 + v_t3 = v_t1 + v_t2, has t0 <= t3 and
+    s = 1; a 3-1 row, v_t3 = v_t0 + v_t1 + v_t2, has t3 < t0 <= t1 <= t2
+    and s = -1.  Every relation of a segment is one row.  A row whose sum
+    vanishes only mod RESIDUE_PRIME, whose keys share only the top bits of
+    their hashes, or whose terms come from two segments, is a row too, and
+    its exact sum is not 0.
     """
-    # Term t is v_t = vals[t], the t-th largest value of its segment.
-    key = np.array([x % RESIDUE_PRIME for x in vals], dtype=np.int64)
-    # S: the pairs b <= c of each segment, keyed by v_b + v_c, the one sorted
-    # table.  The stable sort keeps the row-major order of the pair table
-    # inside each equal-key run, so b does not decrease along a run.  Term
-    # indices are int32, and each table-sized array is dropped once it has
-    # been read (the module docstring says why: heap trim and page faults).
-    # Only the rows the join builds are mapped back through `order`; b and c
-    # stay in pair order.
+    # Term t is v_t = vals[t], the t-th largest value of its segment; its
+    # key is v_t mod P as uint64, whose wrap-around the reductions use.
+    key = np.array([x % RESIDUE_PRIME for x in vals], dtype=np.uint64)
+    # `level` does not decrease along vals: minus each term's bit length,
+    # plus a step per segment that keeps segments more than 2 apart.
+    level = np.array([-x.bit_length() for x in vals])
     width = _pair_widths(sizes)
-    b, c = _pair_table(width)
-    # The b-side and c-side keys give both the sums and, in pair order, the
-    # 3-1 differences v_b - v_c = 2 v_b - (v_b + v_c), with no third array.
-    # The b-side keys carry their segment's tag, so the sums and the
-    # differences both do.  They repeat as b's values do, because numpy
-    # gathers through an int32 index several times slower than through an
-    # intp one.  The c-side keeps the int32 gather: an intp copy of c saved
-    # 15 us on 125 terms but cost 190 us on 256, where its extra table-sized
-    # block is trimmed from the heap and faulted in again on every call.
-    # Segment 0's tag is 0, so a one-segment join adds none.
     tagged = key
     if len(sizes) > 1:
         tagged = key + _segment_tags(sizes)
-        np.subtract(tagged, RESIDUE_PRIME, out=tagged, where=tagged >= RESIDUE_PRIME)
-    sums = tagged.repeat(width)
-    diffs = key[c]
-    sums += diffs
-    diffs *= -2
-    diffs += sums
-    np.subtract(sums, RESIDUE_PRIME, out=sums, where=sums >= RESIDUE_PRIME)
-    np.add(diffs, RESIDUE_PRIME, out=diffs, where=diffs < 0)
-    # 3-1, v_a = v_b + v_c + v_d: the differences v_a - v_d over the pairs
-    # (a, d) of S, each looked up in S.  The presence filter runs before the
-    # sort, on the same set of sums, so only the differences it keeps live
-    # on through the sort.
-    maybe = _maybe_members(sums, diffs)
-    wanted = diffs[maybe]
-    del diffs
-    order = sums.argsort(kind="stable")
-    ss = sums[order]
-    del sums
-    found, hit_first = _find(ss, wanted)
-    hit = maybe[found]
-    del maybe, wanted, found
-    # 2-2, v_b + v_c = v_b' + v_c': every two members x < y of a run.  The
-    # positions whose right neighbour has the same key are the possible x:
-    # every member of a run of two or more but its last.
-    run = (ss[1:] == ss[:-1]).nonzero()[0]
-    # One lookup per outer pair, the 2-2 ones first, each as its index in
-    # the pair table.  Its matches, the inner pairs, run from `first` to the
-    # end of the run that holds ss[first].  Only these lookups take the
-    # right-side search.
-    outer = np.concatenate([order[run], hit])
-    first = np.concatenate([run + 1, hit_first])
-    counts = ss.searchsorted(ss[first], side="right") - first
-    del ss
-    two_two = counts[: len(run)].sum()
-    inner = order[_ranges(first, counts)]
-    del order
-    return b, c, outer.repeat(counts), inner, two_two
+        np.minimum(tagged, tagged - _PRIME, out=tagged)
+        level += np.arange(len(sizes)).repeat(sizes) * (3 - level.min())
+    # 3-1, v_a = v_b + v_c + v_d with v_b >= v_c >= v_d: then v_a <= 3 v_b,
+    # so bitlen(v_b) >= bitlen(v_a) - 2.  The probes are the pairs a < b of
+    # a segment within that window.  The end of a's window does not
+    # decrease along vals either, so low[b], the first a whose window
+    # holds b, is a search in those ends; b's probes are low[b], ..., b - 1.
+    terms = np.arange(len(vals), dtype=np.int32)
+    low = level.searchsorted(level + 2, side="right").searchsorted(terms, side="right")
+    low = low.astype(np.int32)
+    # The one table: row b holds its probes (a, b), keyed by v_a - v_b,
+    # then its pairs (b, c), keyed by v_b + v_c.  A key is P - v_b or v_b,
+    # repeated over the row's probes or pairs, plus the partner's key,
+    # which carries the segment tag; it is below 2P, and reduced mod P as
+    # the smaller of x and x - P in unsigned words.  Term indices are
+    # int32, and each table-sized array is dropped once it has been read
+    # (the module docstring says why: heap trim and page faults).
+    row, partner = _pair_table(width, low)
+    count = np.empty(2 * len(vals), dtype=np.intp)
+    count[0::2] = terms - low
+    count[1::2] = width
+    words = np.empty(2 * len(vals), dtype=np.uint64)
+    np.subtract(_PRIME, key, out=words[0::2])
+    words[1::2] = key
+    words = words.repeat(count)
+    spare = tagged.take(partner)
+    words += spare
+    np.subtract(words, _PRIME, out=spare)
+    np.minimum(words, spare, out=words)
+    # The one sort, in place: each key packed as one word, the top bits of
+    # its hash above its index in the table.  Equal keys form one run, in
+    # table order; the words are distinct, so the sort need not be stable.
+    # Keys that share only the top bits land in one run as well, and add
+    # rows whose exact sum is not 0.
+    mask = np.array((1 << (len(words) - 1).bit_length()) - 1, dtype=np.uint64)
+    words *= _HASH_MULT
+    words &= ~mask
+    words |= np.arange(len(words), dtype=np.uint64)
+    words.sort()
+    # Every two entries x < y of a run, y a pair (c, d) with c <= d: a pair
+    # (b, c') at x gives a 2-2 row, a probe (a, b) a 3-1 row, and table
+    # order puts b <= c in both, so each relation comes out once.  A probe
+    # at y repeats a relation found from another entry, and is dropped.
+    same = np.bitwise_xor(words[1:], words[:-1], out=spare[1:])
+    run = (same <= mask).nonzero()[0]
+    del spare, same
+    heads = words[run]
+    first = run + 1
+    counts = words.searchsorted(heads | mask, side="right") - first
+    heads &= mask
+    outer = heads.view(np.int64).repeat(counts)
+    inner = words.take(_ranges(first, counts))
+    del words
+    inner &= mask
+    inner = inner.view(np.int64)
+    rows = np.array(
+        [row.take(outer), row.take(inner), partner.take(inner), partner.take(outer)]
+    )
+    return rows.compress(rows[1] <= rows[2], axis=1)
 
 
 def _ranked_rows(vals: list[int]) -> np.ndarray:
@@ -369,50 +364,39 @@ def _ranked_rows(vals: list[int]) -> np.ndarray:
     m = 2 * n
     if m**4 > 2**63:
         raise SearchTooLarge(f"{m} signed terms overflow the int64 row key")
-    b, c, outer, inner, two_two = _join(vals, [n])
-    # A row holds the value ranks of +v_u, -v_b, -v_c and +-v_v for an outer
-    # pair (u, v) and an inner pair (b, c); in ascending value order, +v_t
-    # has rank m-1-t and -v_t rank t.  Two distinct 2-2 pairs with one sum
-    # share no term, so b < b' along a run and then c > c': the row
-    # (+v_u, -v_b, -v_c, +v_v) is in canonical order (|w| descending, then
-    # w descending).  A 3-1 row (+v_u, -v_b, -v_c, -v_v) has u < b <= c, and
-    # keeping c <= v makes v the smallest of its three negative terms, so
-    # each relation comes out once; a 2-2 row always passes that test.  Both
-    # shapes are subsum-free: no term meets its own negation, and none
-    # vanishes because the values are positive.
-    rows = np.array([b[outer], b[inner], c[inner], c[outer]])
+    rows = _join(vals, [n])
+    # In ascending value order, +v_t has rank m-1-t and -v_t rank t.  A 2-2
+    # row's ranks are those of +v_t0, -v_t1, -v_t2, +v_t3, and a 3-1 row's,
+    # reordered, of +v_t3, -v_t0, -v_t1, -v_t2: both in canonical order
+    # (|w| descending, then w descending), and subsum-free, since no term
+    # meets its own negation and none vanishes.
+    three = (rows[3] < rows[0]).nonzero()[0]
     np.subtract(m - 1, rows[0], out=rows[0])
-    np.subtract(m - 1, rows[3, :two_two], out=rows[3, :two_two])
-    rows = rows[:, rows[2] <= rows[3]]
+    np.subtract(m - 1, rows[3], out=rows[3])
+    ranks = rows.take(three, axis=1)
+    np.subtract(m - 1, ranks[0], out=ranks[0])
+    rows[:, three] = ranks.take([3, 0, 1, 2], axis=0)
     # The four ranks packed in base m sort the rows as the python engine
     # does.  The key is below m**4, which fits int64 for m <= 55,108 (checked
     # above); at the default ceiling, n(n+1)/2 <= DEFAULT_CEILING keeps
-    # m <= 3,998.  Distinct rows give distinct keys.  The stable sort is the
-    # one the pair table already uses; the default quicksort saved 0.04 s on
-    # 1.3M rows but paged in about 0.3 MB more of numpy's code per process.
-    return rows[:, (np.array([m**3, m**2, m, 1]) @ rows).argsort(kind="stable")]
+    # m <= 3,998.  Distinct rows give distinct keys, so the sort need not
+    # be stable.
+    return rows.take((np.array([m**3, m**2, m, 1]) @ rows).argsort(), axis=1)
 
 
 def _segment_counts(vals: list[int], sizes: Sequence[int]) -> np.ndarray:
     """The number of relations of each segment: the rows of one join whose
     exact sum is 0, counted by segment, with no rank rows and no row sort."""
-    b, c, outer, inner, two_two = _join(vals, sizes)
-    low, tail = c[inner], c[outer]
-    # The ranked rows' test c <= v, on term indices.  A 2-2 relation passes
-    # it too: its inner pair comes later in its run, so b' > b and c' < c.
-    keep = (low <= tail).nonzero()[0]
-    low, tail = low[keep], tail[keep]
-    head, mid = b[outer[keep]], b[inner[keep]]
-    del b, c, outer, inner
+    rows = _join(vals, sizes)
     # Values up to INT64_VALUE_LIMIT keep every partial sum of a row below
     # 3 * 2^61 in magnitude, so int64 sums them exactly; larger ones are
     # summed as ints.
     value = np.array(vals, dtype=np.int64 if max(vals) <= INT64_VALUE_LIMIT else object)
-    total = value[head] - value[mid] - value[low]
-    last = value[tail]
-    total += np.where(keep < two_two, last, -last)
+    first = value[rows[0]]
+    total = value[rows[3]] - value[rows[1]] - value[rows[2]]
+    total += np.where(rows[0] <= rows[3], first, -first)
     segment = np.arange(len(sizes)).repeat(sizes)
-    return np.bincount(segment[head[total == 0]], minlength=len(sizes))
+    return np.bincount(segment[rows[0][total == 0]], minlength=len(sizes))
 
 
 def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
@@ -427,8 +411,8 @@ def _zero_quads_numpy(values: Sequence[int]) -> list[tuple[int, int, int, int]]:
     # row (the large kernel peaked at 308 MB with one, 220 MB without) and
     # no list per column, whose heap blocks stay resident under the result
     # (9.5 MB more peak RSS for medium's find_relations).
-    quads = np.array([-x for x in vals] + vals[::-1], dtype=object)[_ranked_rows(vals)]
-    return list(zip(*quads[:, quads.sum(axis=0) == 0]))
+    quads = np.array([-x for x in vals] + vals[::-1], dtype=object).take(_ranked_rows(vals))
+    return list(zip(*quads.compress(quads[0] + quads[1] + quads[2] + quads[3] == 0, axis=1)))
 
 
 def _require_distinct_positive(vs: list[int]) -> None:

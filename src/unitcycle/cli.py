@@ -418,6 +418,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse already printed usage; normalize its exit code
         return 0 if e.code in (0, None) else 2
+    except Exception as e:
+        # A fault of the program, not a finding or an input error: one line
+        # on stderr and an exit code of its own (KeyboardInterrupt is not an
+        # Exception, so it still propagates).
+        print(f"internal error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
+        return 4
     try:
         if res.exit_code not in (0, 1):
             print(res.text, file=sys.stderr)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_zero_subsum, quadruples_by_completion
+from helpers import exhaustive_zero_subsum, products_over, quadruples_by_completion
 from unitcycle import backends
 from unitcycle.exactnum import is_probable_prime
 from unitcycle.backends import (
@@ -320,11 +320,17 @@ def test_numpy_engine_matches_python_engine(values):
     assert backends._zero_quads_numpy(values) == backends._zero_quads_python(values)
 
 
+def no_probes(width):
+    """low[t] = t: a table of pairs only."""
+    return np.arange(len(width), dtype=np.int32)
+
+
 @pytest.mark.parametrize("sizes", [[3, 1, 4], [2, 0, 2], [0]])
 def test_pair_table_of_segments(sizes):
     # Each segment's pairs, in row-major order and offset by the terms
     # before it, one segment after another.
-    b, c = backends._pair_table(backends._pair_widths(sizes))
+    width = backends._pair_widths(sizes)
+    b, c = backends._pair_table(width, no_probes(width))
     assert b.dtype == c.dtype == np.int32
     pairs, start = [], 0
     for n in sizes:
@@ -335,96 +341,105 @@ def test_pair_table_of_segments(sizes):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
 def test_pair_table_is_row_major(n):
-    # The stable sort of the pair sums relies on this order (b ascending,
-    # then c), which is the order of np.triu_indices.
-    b, c = backends._pair_table(backends._pair_widths([n]))
+    # The runs of equal keys keep this order (b ascending, then c), which
+    # is the order of np.triu_indices.
+    width = backends._pair_widths([n])
+    b, c = backends._pair_table(width, no_probes(width))
     assert b.dtype == c.dtype == np.int32
     assert b.tolist() == [i for i in range(n) for _ in range(i, n)]
     assert c.tolist() == [j for i in range(n) for j in range(i, n)]
 
 
-class TestLookup:
-    """The 3-1 lookup: the presence filter, then the exact search of the table."""
+def test_pair_table_with_probes():
+    # Row t: its probes' partners low[t], ..., t - 1, then its pairs' t, ...,
+    # to the end of its segment.  Segments of 3, 1 and 4 terms.
+    width = backends._pair_widths([3, 1, 4])
+    low = np.array([0, 0, 1, 3, 4, 4, 4, 6], dtype=np.int32)
+    row, partner = backends._pair_table(width, low)
+    assert row.dtype == partner.dtype == np.int32
+    ends = [3, 3, 3, 4, 8, 8, 8, 8]
+    expected = [(t, x) for t in range(8) for x in range(low[t], ends[t])]
+    assert list(zip(row.tolist(), partner.tolist())) == expected
+
+
+class TestCloseProbes:
+    """3-1 relations are looked up only from pairs (a, b) with
+    bitlen(v_b) >= bitlen(v_a) - 2, b the largest negative term."""
 
     P = backends.RESIDUE_PRIME
 
-    @staticmethod
-    def lookup(keys, probes):
-        """The kernel's composition: filter, then find the kept probes."""
-        keys = np.array(keys, dtype=np.int64)
-        probes = np.array(probes, dtype=np.int64)
-        maybe = backends._maybe_members(keys, probes)
-        found, first = backends._find(np.sort(keys, kind="stable"), probes[maybe])
-        return maybe[found].tolist(), first.tolist()
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # 9 = 3 + 3 + 3: bit lengths 4 and 2, the edge of the window.
+            ([3, 9], [(9, -3, -3, -3)]),
+            # v_a = 3 v_b with bitlen(3 v_b) = bitlen(v_b) + 2 (11 -> 33)
+            # and + 1 (5 -> 15), alone and among terms that add relations.
+            ([11, 33], [(33, -11, -11, -11)]),
+            ([5, 15], [(15, -5, -5, -5)]),
+            ([1, 2, 11, 31, 33], None),
+            ([3, 8, 9, 27, 81, 243], None),
+            # v_a = 3 v_b near 2^61 and around P, where the residues wrap.
+            (
+                [2**61 - 1, 3 * (2**61 - 1)],
+                [(3 * (2**61 - 1), -(2**61 - 1), -(2**61 - 1), -(2**61 - 1))],
+            ),
+            ([P - 1, 3 * P - 3], [(3 * P - 3, -(P - 1), -(P - 1), -(P - 1))]),
+            ([P + 1, 3 * P + 3], [(3 * P + 3, -(P + 1), -(P + 1), -(P + 1))]),
+            # 4P + 4 = (2P + 2) + (P + 1) + (P + 1): every residue is small.
+            ([P + 1, 2 * P + 2, 4 * P + 4], None),
+            ([1, 2, 2**61 - 2, 2**61 - 1, 2**62 + 1], None),
+        ],
+        ids=[
+            "bitlen-gap-2", "triple-gap-2", "triple-gap-1", "triple-among-others",
+            "powers-of-three", "triple-near-2^61", "triple-below-P", "triple-above-P",
+            "wrapped-window-edge", "near-2^61-mixed",
+        ],
+    )
+    def test_window_edges(self, each_backend, values, expected):
+        oracle = quadruples_by_completion(values)
+        if expected is not None:
+            assert oracle == expected
+        assert zero_quadruples(values) == oracle
+        assert count_zero_quadruples([values]) == [len(oracle)]
 
-    def test_probes_above_every_key(self):
-        # A probe past the last key compares with it (the clip), not past it.
-        table = np.array([2, 5, 5, 9], dtype=np.int64)
-        probes = np.array([10, self.P - 1, 9, 1, 5, 0, 3], dtype=np.int64)
-        x, first = backends._find(table, probes)
-        assert x.tolist() == [2, 4]
-        assert first.tolist() == [3, 1]
+    def test_largest_subtrahend_within_two_bits(self):
+        # The rule the window rests on: bitlen(v_b) >= bitlen(v_a) - 2 for
+        # the largest subtrahend v_b of every 3-1 relation, and a gap of 2
+        # occurs.
+        gaps = set()
+        for values in ([3, 9], [11, 33], list(range(1, 65))):
+            for a, b, c, d in quadruples_by_completion(values):
+                if b < 0 and c < 0 and d < 0:
+                    gaps.add(a.bit_length() - (-b).bit_length())
+        assert gaps == {0, 1, 2}
 
-    def test_filter_false_positives_are_not_hits(self):
-        # key - M^-1 mod 2^64, with M the odd hash multiplier, hashes to the
-        # key's hash minus 1.  For 0 < key < 2^20 the key's hash has a set
-        # bit among its low 44, so the subtraction borrows nothing from the
-        # top 20 bits: the probe shares the key's slot in any table of up
-        # to 2^20 slots and passes the filter.  It is not a key, and the
-        # exact search must drop every one.
-        rng = random.Random(16)
-        keys = rng.sample(range(1, 10**6), 300)
-        step = -pow(int(backends._HASH_MULT), -1, 2**64) % 2**64
-        others = [k + step for k in keys]
-        assert not set(others) & set(keys) and max(others) < self.P
-        probes = others + keys[::3]
-        passed = backends._maybe_members(
-            np.array(keys, dtype=np.int64), np.array(probes, dtype=np.int64)
-        ).tolist()
-        assert passed == list(range(len(probes)))
-        table = sorted(keys)
-        hits, first = self.lookup(keys, probes)
-        assert hits == list(range(len(others), len(probes)))
-        assert first == [table.index(probes[i]) for i in hits]
-
-    def test_first_of_a_run(self):
-        hits, first = self.lookup([7, 3, 7, 7, 1], [7, 2, 1, 3, 8])
-        assert hits == [0, 2, 3]
-        assert first == [2, 0, 1]
-
-
-# Keys the presence filter must keep: 0, P - 1, powers of 2, and keys that
-# differ only in their high bits.  Multiplying by the odd hash multiplier
-# mod 2^64 carries bits only upward, so the hashes of such keys differ only
-# in their high bits, the ones that pick the slot.
-FILTER_KEYS = st.one_of(
-    st.sampled_from([0, 1, backends.RESIDUE_PRIME - 1]),
-    st.builds(lambda e: 2**e, st.integers(0, 61)),
-    st.builds(lambda low, high: (high << 40) + low, st.integers(0, 50), st.integers(0, 2**21)),
-    st.integers(0, backends.RESIDUE_PRIME - 1),
-)
+    def test_consecutive_integers(self):
+        # 1..256: almost every pair is in the window, and runs of equal keys
+        # are long.
+        values = list(range(1, 257))
+        assert backends._zero_quads_numpy(values) == backends._zero_quads_python(values)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(FILTER_KEYS, min_size=1, max_size=60),
-    st.lists(FILTER_KEYS, max_size=60),
-)
-@example([0, backends.RESIDUE_PRIME - 1, 2**61], [2**61, 0, 5])
-@example([1, 1 + 2**60, 1 + 2**61], [1 + 2**61, 1 + 2**59])
-def test_presence_filter_keeps_every_member(keys, others):
-    probes = others + keys
-    maybe = backends._maybe_members(
-        np.array(keys, dtype=np.int64), np.array(probes, dtype=np.int64)
-    ).tolist()
-    key_set = set(keys)
-    members = [i for i, v in enumerate(probes) if v in key_set]
-    assert set(members) <= set(maybe)
-    assert maybe == sorted(set(maybe))
-    hits, first = TestLookup.lookup(keys, probes)
-    table = sorted(keys)
-    assert hits == members
-    assert first == [table.index(probes[i]) for i in hits]
+@st.composite
+def unit_boxes(draw):
+    """The terms of an S-unit box: products of one to three small primes,
+    each to an exponent up to the bound, sometimes scaled past 2^61 or P."""
+    small = st.sampled_from([2, 3, 5, 7, 11, 13])
+    primes = draw(st.lists(small, min_size=1, max_size=3, unique=True))
+    bound = draw(st.integers(1, 4 if len(primes) < 3 else 2))
+    scale = draw(st.sampled_from([1, 1, 1, 2**58, backends.RESIDUE_PRIME]))
+    return [scale * v for v in products_over(primes, bound)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(unit_boxes(), min_size=1, max_size=4))
+@example([[3, 9]])
+@example([[1, 3, 9, 27], [2**58, 3 * 2**58, 9 * 2**58]])
+def test_unit_boxes_match_oracle(boxes):
+    expected = [quadruples_by_completion(box) for box in boxes]
+    assert zero_quadruples(boxes[0]) == expected[0]
+    assert count_zero_quadruples(boxes) == [len(rows) for rows in expected]
 
 
 class TestRouting:

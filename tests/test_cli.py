@@ -550,6 +550,42 @@ def test_usage_error_leaves_no_trace(capsys):
     assert _run(capsys, valid) == alone
 
 
+@pytest.fixture
+def raising_zieve(monkeypatch):
+    """The zieve command replaced by one that raises; the cached parser is
+    rebuilt around it, and again after the test."""
+
+    def boom(args):
+        raise RuntimeError("unexpected\nfault")
+
+    monkeypatch.setattr(cli, "cmd_zieve", boom)
+    cli.build_parser.cache_clear()
+    yield
+    monkeypatch.undo()
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [["zieve", "--ring", "3", "--bound", "2"], ["zieve", "--ring", "3", "--json"]])
+def test_unexpected_exception_exits_4(raising_zieve, capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == "internal error: RuntimeError: unexpected fault\n"
+
+
+def test_interrupt_still_propagates(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_zieve", interrupted)
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            main(["zieve", "--ring", "3", "--bound", "2"])
+    finally:
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
+
+
 def test_survey_default_seed_after_explicit_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     survey = ["survey", "--pool", "10", "--size", "4", "--sample", "5", "--json"]

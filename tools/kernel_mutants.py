@@ -1,8 +1,10 @@
 """Mutation gate for the numpy join and the checks at the package's trust
 boundaries.
 
-Each mutant below breaks one rule: of the numpy engine's join, its segment
-tags and segment counts, its input check and pair-sum ceiling
+Each mutant below breaks one rule: of the numpy engine's join (the
+two-bit window of its 3-1 probes, b <= c and c <= d in its rows, its keys'
+reduction mod P and their packing with the table index), its segment tags
+and segment counts, its input check and pair-sum ceiling
 (`src/unitcycle/backends.py`); of the term table's and the survey's
 ceilings (`relsearch.py`, `survey.py`); of the term and row checks that
 every `Relation` passes, the cyclic collector's restore after
@@ -10,13 +12,20 @@ every `Relation` passes, the cyclic collector's restore after
 the prime and sign checks and the JSON readers' array, integer-or-string
 and string rules (`exactnum.py`, `sring.py`); of the certificate
 checks (`avoidance.py`, `cycles.py`, `lenstra.py`); of the int-numerator
-evaluation and orbits (`cycles.py`); or of the CLI's error mapping and its
-hand-over of unrecognized arguments to the full parser (`cli.py`).  For
+evaluation and orbits (`cycles.py`); or of the CLI's error mapping (exit
+2 for an input error, 4 for an unexpected exception) and its hand-over of
+unrecognized arguments to the full parser (`cli.py`).  For
 each one this script copies the package to a temporary directory, applies
 the mutation to the named file of the copy, and runs the mutant's test
 files against the copy.  Every mutant must make
 those tests fail; a mutant that passes means the tests no longer pin that
 rule.  The unmutated copy must pass first.
+
+Not covered: whether the ranked rows and the segment counts take a row
+with t0 = t3 for a 2-2 row (`rows[0] <= rows[3]`) or a 3-1 row (`<`).  No
+relation gives such a row: a 2-2 row's outer pair (t0, t3) comes first in
+table order, and a pair (t, t) that came before (b, c) would have
+2 v_t > v_b + v_c.  So the two tests are equivalent and have no mutant.
 
 Not covered: `exactnum._RANDOM_ROUNDS`, the Miller-Rabin rounds above the
 deterministic bound.  Cutting it from 64 to 1 changes no answer that a test
@@ -58,52 +67,66 @@ COUNT_TESTS = ("tests/test_backends.py", "tests/test_survey.py")
 MUTANTS = [
     # The numpy join.
     (
-        "c < d for c <= d",
+        "3-1 window slack 2 -> 1",
         "backends.py",
-        "rows = rows[:, rows[2] <= rows[3]]",
-        "rows = rows[:, rows[2] < rows[3]]",
+        'level.searchsorted(level + 2, side="right")',
+        'level.searchsorted(level + 1, side="right")',
+        KERNEL_TESTS,
+    ),
+    (
+        "b <= c made strict (3-1 rows with b = c dropped)",
+        "backends.py",
+        "rows.compress(rows[1] <= rows[2], axis=1)",
+        "rows.compress((rows[1] <= rows[2]) & (rows[0] < rows[1]), axis=1)",
+        KERNEL_TESTS,
+    ),
+    (
+        "c < d for c <= d (inner pairs (c, c) dropped)",
+        "backends.py",
+        "rows.compress(rows[1] <= rows[2], axis=1)",
+        "rows.compress(rows[1] < rows[2], axis=1)",
         KERNEL_TESTS,
     ),
     (
         "positive side flipped (the inner pair made positive)",
         "backends.py",
-        "rows = np.array([b[outer], b[inner], c[inner], c[outer]])",
-        "rows = np.array([b[inner], b[outer], c[outer], c[inner]])",
+        "[row.take(outer), row.take(inner), partner.take(inner), partner.take(outer)]",
+        "[row.take(inner), row.take(outer), partner.take(outer), partner.take(inner)]",
         KERNEL_TESTS,
     ),
     (
-        "+P wrap of the differences dropped",
+        "mod-P reduction of the keys dropped",
         "backends.py",
-        "np.add(diffs, RESIDUE_PRIME, out=diffs, where=diffs < 0)",
+        "np.minimum(words, spare, out=words)",
+        "pass",
+        KERNEL_TESTS,
+    ),
+    (
+        "differences keyed as sums",
+        "backends.py",
+        "np.subtract(_PRIME, key, out=words[0::2])",
+        "np.add(_PRIME, key, out=words[0::2])",
+        KERNEL_TESTS,
+    ),
+    (
+        "pair-index mask dropped",
+        "backends.py",
+        "inner &= mask",
+        "pass",
+        KERNEL_TESTS,
+    ),
+    (
+        "hash bits left under the index",
+        "backends.py",
+        "words &= ~mask",
         "pass",
         KERNEL_TESTS,
     ),
     (
         "exact-sum mask dropped",
         "backends.py",
-        "quads[:, quads.sum(axis=0) == 0]",
+        "quads.compress(quads[0] + quads[1] + quads[2] + quads[3] == 0, axis=1)",
         "quads",
-        KERNEL_TESTS,
-    ),
-    (
-        "3-1 equality test dropped",
-        "backends.py",
-        '(table.take(first, mode="clip") == probes).nonzero()[0]',
-        "np.arange(len(probes))",
-        KERNEL_TESTS,
-    ),
-    (
-        "differences hashed unlike the sums (presence filter)",
-        "backends.py",
-        "present[_slots(probes, bits)]",
-        "present[_slots(probes, bits - 1)]",
-        KERNEL_TESTS,
-    ),
-    (
-        "3-1 hits not mapped through the candidate index",
-        "backends.py",
-        "hit = maybe[found]",
-        "hit = found",
         KERNEL_TESTS,
     ),
     (
@@ -116,15 +139,8 @@ MUTANTS = [
     (
         "segment counts keep rows whose exact sum is not 0",
         "backends.py",
-        "segment[head[total == 0]]",
-        "segment[head]",
-        COUNT_TESTS,
-    ),
-    (
-        "segment counts drop 3-1 rows with c = v",
-        "backends.py",
-        "keep = (low <= tail).nonzero()[0]",
-        "keep = (low < tail).nonzero()[0]",
+        "segment[rows[0][total == 0]]",
+        "segment[rows[0]]",
         COUNT_TESTS,
     ),
     # The search's input check and ceilings.
@@ -341,6 +357,13 @@ MUTANTS = [
         "cli.py",
         "except (ValueError, ZeroDivisionError, OSError) as e:",
         "except (ValueError, ZeroDivisionError) as e:",
+        CLI_TESTS,
+    ),
+    (
+        "unexpected exception reported as a negative finding",
+        "cli.py",
+        "        return 4\n",
+        "        return 1\n",
         CLI_TESTS,
     ),
     (
